@@ -129,6 +129,27 @@ def test_cli_forge(tmp_path, capsys):
     assert code == 0 and out["ok"]
 
 
+def test_cli_forge_large_good_primes(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"P": [[1009, 17], [1499, -30]], "L": [[3, 1, 2]], "Q": [5]}))
+    runs = []
+    for _ in range(2):
+        code = main(["--format", "json", "forge", "--spec", str(spec), "--seed", "3"])
+        runs.append(capsys.readouterr().out)
+        assert code == 0 and json.loads(runs[-1])["ok"] is True
+    assert runs[0] == runs[1]
+
+
+def test_cli_forge_search_failure_exit_code(tmp_path, capsys, monkeypatch):
+    from iwasawa import forge
+    monkeypatch.setattr(forge, "count_points", lambda E, p: 0)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"P": [[61, 3]]}))
+    code = main(["forge", "--spec", str(spec)])
+    assert code == 1
+    assert "error: no curve with a_61 = 3" in capsys.readouterr().err
+
+
 def test_cli_mu_bound(capsys):
     code = main(["--format", "json", "mu-bound", "--curve", "195a2", "--p", "2"])
     out = json.loads(capsys.readouterr().out)

@@ -1,10 +1,15 @@
 import random
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
-from iwasawa.curves import WeierstrassCurve, count_points
+from iwasawa import forge
+from iwasawa.curves import SingularCurveError, WeierstrassCurve, count_points
 from iwasawa.forge import (
+    ForgeError,
     ForgeSpec,
+    _combine,
     crt_assemble,
     deuring_search,
     forge_verify,
@@ -36,6 +41,73 @@ def test_deuring_deterministic_and_correct():
         again = deuring_search(p, a, seed=3)
         assert first == again
         assert count_points(WeierstrassCurve(*first), p) == 1 + p - a
+
+
+def test_deuring_small_primes_pinned():
+    # in-order search for p <= 60: these answers must never change
+    assert deuring_search(5, 2, seed=0) == (0, 0, 0, 1, 0)
+    assert deuring_search(23, -5, seed=3) == (0, 0, 0, 1, 4)
+    assert deuring_search(53, 7, seed=1) == (0, 0, 0, 4, 11)
+    assert deuring_search(59, -13, seed=2) == (0, 0, 0, 1, 16)
+    assert deuring_search(59, 0, seed=9) == (0, 0, 0, 0, 1)
+
+
+def test_deuring_lazy_draws_both_branches(monkeypatch):
+    # p > 60: seeded draws, returned directly or as the quadratic twist
+    # of a draw with the opposite trace
+    counted = []
+
+    def spy(E, p):
+        counted.append(E.ainvs())
+        return count_points(E, p)
+
+    monkeypatch.setattr(forge, "count_points", spy)
+    rng = random.Random(42)
+    branches = set()
+    for i in range(24):
+        p = (61, 211, 1009, 2003)[i % 4]
+        amax = 2 * int(p ** 0.5)
+        a = 0 if i % 6 == 0 else rng.choice((1, -1)) * rng.randrange(1, amax)
+        del counted[:]
+        first = deuring_search(p, a, seed=i)
+        branches.add("direct" if counted[-1] == first else "twist")
+        assert deuring_search(p, a, seed=i) == first
+        assert all(0 <= x < p for x in first)
+        assert count_points(WeierstrassCurve(*first), p) == 1 + p - a
+    assert branches == {"direct", "twist"}
+
+
+def test_deuring_memory_is_linear():
+    tracemalloc.start()
+    try:
+        deuring_search(211, 11, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20   # a p^2 candidate list would take about 3 MB
+
+
+def test_deuring_cap_raises_forge_error(monkeypatch):
+    monkeypatch.setattr(forge, "count_points", lambda E, p: 0)
+    for p in (3, 59, 61):
+        with pytest.raises(ForgeError):
+            deuring_search(p, 1)
+
+
+def test_tate_local_model_mismatch_raises(monkeypatch):
+    fake = SimpleNamespace(kind="good", tamagawa=1, ord_j=0)
+    monkeypatch.setattr(forge, "tate_local", lambda E, ell: fake)
+    with pytest.raises(ForgeError, match="multiplicative_split"):
+        tate_local_model(11, 1, 5)
+
+
+def test_combine_without_nonsingular_lift_raises(monkeypatch):
+    def singular(*ainvs):
+        raise SingularCurveError("singular")
+
+    monkeypatch.setattr(forge, "WeierstrassCurve", singular)
+    with pytest.raises(ForgeError, match="nonsingular lift"):
+        _combine({5: ((0, 0, 0, 1, 0), 1)}, seed=0)
 
 
 def test_irreducibility_witness_q3():
