@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .padics import (
     PadicNumber,
@@ -409,19 +410,30 @@ def smith_normal_form(matrix):
 
 
 def max_pn_cap():
-    return int(os.environ.get("IWASAWA_MAX_PN", "128"))
+    """The p^n bound on layer matrices: `IWASAWA_MAX_PN`, default 128."""
+    raw = os.environ.get("IWASAWA_MAX_PN", "128")
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"IWASAWA_MAX_PN must be a positive integer, got {raw!r}")
+    return cap
 
 
 def quotient_order(f: LambdaElement, n: int, cap=None):
     """Torsion order exponent of (Lambda/(f)) / theta_n: returns (free_rank, e_n).
 
-    Works on the exact p^n x p^n companion matrix of theta_n.  The Smith
-    normal form over Z_p from the exact matrix f(C) gives the valuations
-    of the elementary divisors (e_n is their sum); the Z_p-free rank is
-    the exact rank defect, computed independently by fraction-free
-    elimination over Z so that huge-valuation divisors at the precision
-    limit are detected rather than miscounted.  When the quotient is
-    finite the total is cross-checked against v_p(Res(f, theta_n)).
+    Works on the exact p^n x p^n matrix of multiplication by f on
+    Z[T]/(theta_n), built column by column in O(p^(2n)).  Its Smith
+    normal form over Z/p^N gives the valuations of the elementary
+    divisors (e_n is their sum) and a defect, the number of dimensions
+    that vanish mod p^N.  Defect 0 means det f(C) != 0, so the Z_p-free
+    rank is 0; otherwise the free rank is the exact rank defect, computed
+    independently by fraction-free elimination over Z, and a mismatch
+    (a divisor at the precision limit) raises PrecisionError.  When the
+    quotient is finite the total is cross-checked against
+    v_p(Res(f, theta_n)).
     """
     if f.is_zero():
         raise ZeroAtPrecision("quotient of the zero ideal")
@@ -431,67 +443,93 @@ def quotient_order(f: LambdaElement, n: int, cap=None):
     if m > cap:
         raise ValueError(f"p^n = {m} exceeds the configured bound {cap}")
     th = theta_poly_int(n, p)
-    # companion matrix of the monic degree-m polynomial theta_n
-    comp = [[0] * m for _ in range(m)]
-    for i in range(1, m):
-        comp[i][i - 1] = 1
-    for i in range(m):
-        comp[i][m - 1] = -th[i]
     fc = f.lift_coeffs()
-    mat = _poly_of_matrix(fc, comp, m)
+    mat = _mult_matrix(fc, th)
     vals, defect = smith_p_valuations(mat, p, f.coeff_prec)
-    free_rank = m - _bareiss_rank(mat)
+    free_rank = m - _bareiss_rank(mat) if defect else 0
     if defect != free_rank:
         raise PrecisionError("elementary divisor valuation at precision limit")
     e_n = sum(vals)
     if free_rank == 0:
-        res = poly_resultant([Fraction(c) for c in fc], [Fraction(c) for c in th])
-        if rational_val(res, p) != e_n:
+        if rational_val(poly_resultant(fc, th), p) != e_n:
             raise AssertionError("SNF and resultant torsion orders disagree")
     return free_rank, e_n
 
 
+def _mult_matrix(coeffs, modulus):
+    """Matrix of multiplication by sum coeffs[i] T^i on Z[T]/(modulus).
+
+    `modulus` is monic of degree m; entry [i][j] is the T^i coefficient
+    of T^j * f mod modulus, so this is f(C) for the companion matrix C.
+    """
+    m = len(modulus) - 1
+    col = list(coeffs)
+    # f mod modulus: clear the top coefficient with one multiple of modulus
+    for top in range(len(col) - 1, m - 1, -1):
+        c = col.pop()
+        if c:
+            for i in range(m):
+                col[top - m + i] -= c * modulus[i]
+    col += [0] * (m - len(col))
+    cols = [col]
+    for _ in range(m - 1):
+        # times T: shift up, then fold the T^m coefficient back in
+        c = col[-1]
+        col = [0] + col[:-1]
+        if c:
+            col = [x - c * t for x, t in zip(col, modulus)]
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
+
+
 def smith_p_valuations(matrix, p, prec):
-    """p-valuations of the elementary divisors, over Z/p^prec.
+    """p-valuations of the elementary divisors of a square matrix, over Z/p^prec.
 
     Returns (valuations, defect): pivots of minimal valuation keep all
     entries reduced, so there is no coefficient blowup; dimensions whose
-    entries all vanish mod p^prec are counted in the defect.
+    entries all vanish mod p^prec are counted in the defect.  The pivot
+    is the first entry of least valuation in row-major order.  No entry
+    left after a pivot of valuation v has valuation below v, so the scan
+    stops at the first entry of valuation v (at the first unit, to begin
+    with), and an entry is skipped unless it is nonzero mod p^(current
+    least valuation).  Row elimination leaves the pivot column zero below
+    the pivot, so column elimination would change only the pivot row:
+    each step just drops the pivot row and column.
     """
     mod = p ** prec
-    m = [[x % mod for x in row] for row in matrix]
-    size = len(m)
+    block = [[x % mod for x in row] for row in matrix]
+    size = len(block)
     vals = []
-    top = 0
-    while top < size:
+    floor = 0
+    while block:
         piv = None
-        pv = prec
-        for i in range(top, size):
-            for j in range(top, size):
-                if m[i][j]:
-                    v = valuation(m[i][j], p)
-                    if v < pv:
-                        pv, piv = v, (i, j)
+        pv, ppv = prec, mod
+        for i, row in enumerate(block):
+            for j, x in enumerate(row):
+                if x % ppv:
+                    pv, piv = valuation(x, p), (i, j)
+                    ppv = p ** pv
+                    if pv == floor:
+                        break
+            if pv == floor:
+                break
         if piv is None:
             break
         i0, j0 = piv
-        m[top], m[i0] = m[i0], m[top]
-        for row in m:
-            row[top], row[j0] = row[j0], row[top]
-        inv_u = pow(m[top][top] // p ** pv, -1, mod)
-        m[top] = [x * inv_u % mod for x in m[top]]
-        for i in range(top + 1, size):
-            if m[i][top]:
-                fct = m[i][top] // p ** pv
-                m[i] = [(a - fct * b) % mod for a, b in zip(m[i], m[top])]
-        for j in range(top + 1, size):
-            if m[top][j]:
-                fct = m[top][j] // p ** pv
-                for i in range(top, size):
-                    m[i][j] = (m[i][j] - fct * m[i][top]) % mod
+        block[0], block[i0] = block[i0], block[0]
+        for row in block:
+            row[0], row[j0] = row[j0], row[0]
+        head = block[0]
+        inv_u = pow(head[0] // ppv, -1, mod)
+        prow = [x * inv_u % mod for x in head[1:]]
+        rest = []
+        for row in block[1:]:
+            fct = row[0] // ppv
+            rest.append([(a - fct * b) % mod for a, b in zip(row[1:], prow)] if fct else row[1:])
+        block = rest
         vals.append(pv)
-        top += 1
-    return sorted(vals), size - top
+        floor = pv
+    return sorted(vals), size - len(vals)
 
 
 def _bareiss_rank(matrix):
@@ -517,46 +555,78 @@ def _bareiss_rank(matrix):
     return r
 
 
-def _poly_of_matrix(coeffs, mat, m):
-    acc = [[0] * m for _ in range(m)]
-    for c in reversed(coeffs):
-        acc = _mat_mul(acc, mat, m)
-        for i in range(m):
-            acc[i][i] += c
-    return acc
-
-
-def _mat_mul(a, b, m):
-    out = [[0] * m for _ in range(m)]
-    for i in range(m):
-        ai = a[i]
-        oi = out[i]
-        for t in range(m):
-            x = ai[t]
-            if x:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += x * bt[j]
-    return out
-
-
 def poly_resultant(a, b):
-    """Resultant of two polynomials over Q (ascending coefficient lists)."""
+    """Resultant of two polynomials over Q (ascending coefficient lists).
+
+    Coefficients may be int or Fraction; the result is an exact Fraction.
+    Each input is scaled to a primitive integer polynomial (its rational
+    content comes back as content^(degree of the other)), and the
+    integer resultant comes from the sub-resultant PRS (Cohen, *A Course
+    in Computational Algebraic Number Theory*, Alg. 3.3.7), whose
+    divisions are exact.  A zero input gives 0; two constants give 1.
+    """
     a = _strip(a)
     b = _strip(b)
     if not a or not b:
         return Fraction(0)
-    if len(b) == 1:
-        return b[0] ** (len(a) - 1)
-    if len(a) == 1:
-        return a[0] ** (len(b) - 1)
+    ca, a = _primitive(a)
+    cb, b = _primitive(b)
     da, db = len(a) - 1, len(b) - 1
-    r = _poly_mod(a, b)
-    if not r:
-        return Fraction(0)
-    dr = len(r) - 1
-    sign = -1 if (da * db) % 2 else 1
-    return sign * b[-1] ** (da - dr) * poly_resultant(b, r)
+    return ca ** db * cb ** da * _int_resultant(a, b)
+
+
+def _primitive(c):
+    """(content, primitive integer polynomial) with c = content * primitive."""
+    c = [Fraction(x) for x in c]
+    den = lcm(*(x.denominator for x in c))
+    ints = [x.numerator * (den // x.denominator) for x in c]
+    g = gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return Fraction(g, den), [x // g for x in ints]
+
+
+def _int_resultant(a, b):
+    """Res(a, b) for nonzero integer polynomials, by the sub-resultant PRS."""
+    da, db = len(a) - 1, len(b) - 1
+    if db == 0:
+        return b[0] ** da
+    if da == 0:
+        return a[0] ** db
+    s = 1
+    if da < db:
+        a, b, da, db = b, a, db, da
+        if da % 2 and db % 2:
+            s = -1
+    g = h = 1
+    while True:
+        delta = da - db
+        if da % 2 and db % 2:
+            s = -s
+        r = _pseudo_rem(a, b)
+        if not r:
+            return 0
+        a, da = b, db
+        div = g * h ** delta
+        b = [x // div for x in r]
+        db = len(b) - 1
+        g = a[-1]
+        if delta:
+            h = g ** delta // h ** (delta - 1)
+        if db == 0:
+            return s * b[0] ** da // h ** (da - 1)
+
+
+def _pseudo_rem(a, b):
+    """lc(b)^(deg a - deg b + 1) * a mod b, over Z (b nonconstant)."""
+    a = list(a)
+    lb = b[-1]
+    db = len(b) - 1
+    for _ in range(len(a) - db):
+        c = a.pop()
+        off = len(a) - db
+        a = [lb * x for x in a[:off]] + [lb * x - c * y for x, y in zip(a[off:], b)]
+    return _strip(a)
 
 
 def rational_val(x: Fraction, p: int):
@@ -570,19 +640,6 @@ def _strip(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _poly_mod(a, b):
-    a = list(a)
-    inv = Fraction(1) / b[-1]
-    while len(a) >= len(b):
-        f = a[-1] * inv
-        if f:
-            off = len(a) - len(b)
-            for i in range(len(b)):
-                a[off + i] -= f * b[i]
-        a.pop()
-    return _strip(a)
 
 
 # -- growth law ---------------------------------------------------------

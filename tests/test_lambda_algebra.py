@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from iwasawa import lambda_algebra as la
+from iwasawa.cli import main
 from iwasawa.lambda_algebra import (
     INDETERMINATE,
     LambdaElement,
@@ -14,6 +16,7 @@ from iwasawa.lambda_algebra import (
     fe_solve,
     growth_fit,
     involution,
+    max_pn_cap,
     min_generators,
     mod_p_shape,
     mu_lambda,
@@ -25,7 +28,7 @@ from iwasawa.lambda_algebra import (
     theta_poly_int,
     weierstrass_prepare,
 )
-from iwasawa.padics import PadicNumber, valuation
+from iwasawa.padics import PadicNumber, PrecisionError, valuation
 
 
 def el(p, coeffs, n=30, k=40):
@@ -321,3 +324,168 @@ def test_quotient_order_respects_size_cap(monkeypatch):
         quotient_order(el(3, [-3, 1]), 2)
     monkeypatch.setenv("IWASAWA_MAX_PN", "9")
     assert quotient_order(el(3, [-3, 1]), 2) == (0, 3)
+
+
+def test_max_pn_cap_names_the_variable(monkeypatch):
+    for bad in ("abc", "0", "-3", "1.5"):
+        monkeypatch.setenv("IWASAWA_MAX_PN", bad)
+        with pytest.raises(ValueError, match="IWASAWA_MAX_PN"):
+            max_pn_cap()
+    monkeypatch.setenv("IWASAWA_MAX_PN", "1")
+    assert max_pn_cap() == 1
+
+
+def test_cli_reports_bad_max_pn(monkeypatch, capsys):
+    monkeypatch.setenv("IWASAWA_MAX_PN", "abc")
+    assert main(["growth", "p=3 coeffs=[-3,1]", "--n-max", "2"]) == 1
+    assert "IWASAWA_MAX_PN" in capsys.readouterr().err
+
+
+# -- differential tests for the layer-quotient kernels ----------------------------
+
+def _sylvester_resultant(a, b):
+    """det of the Sylvester matrix of a, b (ascending, nonzero leading terms)."""
+    da, db = len(a) - 1, len(b) - 1
+    size = da + db
+    rows = [[Fraction(0)] * i + [Fraction(c) for c in reversed(a)] + [Fraction(0)] * (db - 1 - i)
+            for i in range(db)]
+    rows += [[Fraction(0)] * i + [Fraction(c) for c in reversed(b)] + [Fraction(0)] * (da - 1 - i)
+             for i in range(da)]
+    det = Fraction(1)
+    for col in range(size):
+        piv = next((i for i in range(col, size) if rows[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for i in range(col + 1, size):
+            f = rows[i][col] / rows[col][col]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return det
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _nonzero_top(rng, lo, hi):
+    c = 0
+    while c == 0:
+        c = rng.randrange(lo, hi)
+    return c
+
+
+def _resultant_cases():
+    rng = random.Random(97)
+    cases = []
+    for k in range(40):
+        da, db = rng.randrange(0, 7), rng.randrange(0, 7)
+        a = [rng.randrange(-30, 31) for _ in range(da)] + [_nonzero_top(rng, -7, 8)]
+        b = [rng.randrange(-30, 31) for _ in range(db)] + [_nonzero_top(rng, -7, 8)]
+        if k % 5 == 0:  # shared factor: the resultant is zero
+            common = [rng.randrange(-4, 5), _nonzero_top(rng, -3, 4)]
+            a, b = _poly_mul(a, common), _poly_mul(b, common)
+        if k % 4 == 1:
+            a = [Fraction(c, rng.randrange(1, 9)) for c in a]
+        if k % 4 == 2:
+            b = [Fraction(c, rng.randrange(1, 9)) for c in b]
+        cases.append((a, b))
+    cases += [([5], [7]), ([-2], [1, 0, 3]), ([0, 3, -1], [Fraction(-1, 2)]),
+              (theta_poly_int(1, 3), [-3, 1]), ([-3, 1], theta_poly_int(2, 3))]
+    return cases
+
+
+def test_resultant_matches_sylvester_determinant():
+    cases = _resultant_cases()
+    kinds = {"zero": 0, "constant": 0, "deg_a<deg_b": 0, "deg_a>deg_b": 0, "fraction": 0,
+             "non_monic": 0}
+    for a, b in cases:
+        ref = _sylvester_resultant(a, b)
+        got = poly_resultant(a, b)
+        assert isinstance(got, Fraction)
+        assert got == ref, (a, b)
+        kinds["zero"] += ref == 0
+        kinds["constant"] += min(len(a), len(b)) == 1
+        kinds["deg_a<deg_b"] += len(a) < len(b)
+        kinds["deg_a>deg_b"] += len(a) > len(b)
+        kinds["fraction"] += any(isinstance(c, Fraction) for c in a + b)
+        kinds["non_monic"] += abs(a[-1]) != 1 or abs(b[-1]) != 1
+    assert all(kinds.values()), kinds
+
+
+def test_resultant_of_zero_polynomial():
+    assert poly_resultant([0, 0], [1, 2]) == 0
+    assert poly_resultant([3], []) == 0
+
+
+def _horner_of_companion(coeffs, modulus):
+    """f(C) by Horner's rule on the companion matrix C of monic `modulus`."""
+    m = len(modulus) - 1
+    # row t of C holds C[t][t-1] = 1 and C[t][m-1] = -modulus[t]
+    nz = [[] for _ in range(m)]
+    for t in range(m):
+        if t:
+            nz[t].append((t - 1, 1))
+        nz[t].append((m - 1, -modulus[t]))
+    acc = [[0] * m for _ in range(m)]
+    for c in reversed(coeffs):
+        out = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for t, x in enumerate(acc[i]):
+                if x:
+                    for j, y in nz[t]:
+                        out[i][j] += x * y
+            out[i][i] += c
+        acc = out
+    return acc
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5) for n in range(4)])
+def test_mult_matrix_matches_horner(p, n):
+    rng = random.Random(100 * p + n)
+    th = theta_poly_int(n, p)
+    for _ in range(3):
+        coeffs = [rng.randrange(-p ** 12, p ** 12) for _ in range(rng.randrange(1, 12))]
+        assert la._mult_matrix(coeffs, th) == _horner_of_companion(coeffs, th)
+
+
+def test_quotient_order_refuses_at_precision_limit():
+    # T - 3 at N = 2: v_3(theta_2(3)) = 3 leaves a divisor past 3^2
+    with pytest.raises(PrecisionError):
+        quotient_order(LambdaElement(3, [-3, 1], 2, 10), 2)
+
+
+def test_exact_rank_runs_only_when_the_smith_form_has_a_defect(monkeypatch):
+    def refuse(matrix):
+        raise RuntimeError("exact rank requested")
+    monkeypatch.setattr(la, "_bareiss_rank", refuse)
+    assert quotient_order(el(3, [-3, 1]), 1) == (0, 2)
+    with pytest.raises(RuntimeError, match="exact rank"):
+        quotient_order(el(3, [3, 3, 1]), 1)
+
+
+def _dense_growth_series(rng, p, lam, mu):
+    """p^mu * d * u mod (p^30, T^40): d Eisenstein of degree lam, u a 40-term unit."""
+    mod = p ** 30
+    d = [p * rng.randrange(p * p) for _ in range(lam)] + [1]
+    d[0] = p * rng.choice([x for x in range(1, p * p) if x % p])
+    u = [rng.randrange(mod) for _ in range(40)]
+    u[0] = rng.choice([x for x in range(1, p * p) if x % p])
+    return [(p ** mu * c) % mod for c in _poly_mul(d, u)[:40]]
+
+
+@pytest.mark.parametrize("n_max,lam,mu", [(6, 3, 1), (7, 3, 0), (7, 5, 1)])
+def test_growth_fit_dense_large_layers(n_max, lam, mu):
+    # p^n_max = 64 and 128; an Eisenstein d of degree 3 or 5 shares no
+    # factor with any theta_n (those factors have degree 2^k), so lambda0 = 0
+    f = LambdaElement(2, _dense_growth_series(random.Random(n_max * 10 + lam), 2, lam, mu), 30, 40)
+    g = growth_fit(f, n_max)
+    assert (g.lam, g.mu, g.lambda0) == (lam, mu, 0)
+    assert set(g.free_ranks) == {0}
