@@ -17,6 +17,7 @@ from .curves import WeierstrassCurve, torsion
 from .forge import ForgeSpec, crt_assemble
 from .mu import classify_two_torsion, mu_lower_bound, _rational_two_torsion_points
 from .nfpoints import verify_paper_points
+from .padics import valuation
 from .periods import real_period
 from .selmer import (
     EulerCharError,
@@ -26,10 +27,6 @@ from .selmer import (
     euler_char,
 )
 from .tate import bad_primes, conductor, tate_local
-
-
-class Mismatch(Exception):
-    pass
 
 
 def _load_curve(args):
@@ -81,12 +78,11 @@ def _emit_text(payload, indent=0):
         print(f"{pad}{payload}")
 
 
-def _vp(n, p):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+def _sel_vp(args):
+    """v_p of the --sel-order input, which must be a positive integer."""
+    if args.sel_order < 1:
+        raise ValueError(f"--sel-order must be a positive integer, got {args.sel_order}")
+    return valuation(args.sel_order, args.p)
 
 
 def cmd_analyze(args):
@@ -115,8 +111,7 @@ def cmd_analyze(args):
                           "anomalous": locp.anomalous}
     else:
         report["at_p"] = {"reduction": locp.kind}
-    sel_vp = _vp(args.sel_order, p) if args.sel_order else 0
-    A = GlobalAssumptions(sel_vp=sel_vp, rank=args.rank)
+    A = GlobalAssumptions(sel_vp=_sel_vp(args), rank=args.rank)
     try:
         rep = euler_char(E, p, A, digits=args.precision_digits)
         report["euler"] = {"total": rep.total,
@@ -149,8 +144,7 @@ def cmd_analyze(args):
 
 def cmd_euler(args):
     label, E, ann = _load_curve(args)
-    sel_vp = _vp(args.sel_order, args.p)
-    rep = euler_char(E, args.p, GlobalAssumptions(sel_vp=sel_vp),
+    rep = euler_char(E, args.p, GlobalAssumptions(sel_vp=_sel_vp(args)),
                      digits=args.precision_digits)
     payload = {"label": label, "p": args.p, "total": rep.total,
                "entries": [list(e) for e in rep.entries], "notes": list(rep.notes)}
@@ -163,7 +157,7 @@ def cmd_euler(args):
 
 def cmd_criteria(args):
     label, E, _ = _load_curve(args)
-    A = GlobalAssumptions(sel_vp=_vp(args.sel_order, args.p) if args.sel_order else 0)
+    A = GlobalAssumptions(sel_vp=_sel_vp(args))
     van = criterion_vanishing(E, args.p, A)
     inf = criterion_infinite(E, args.p, A)
     _emit({"label": label, "p": args.p,
@@ -273,7 +267,7 @@ def cmd_tables(args):
             computed = {"|T|": torsion(E).order,
                         "tamagawa": [tate_local(E, ell).tamagawa for ell in primes]}
             try:
-                rep = euler_char(E, p, GlobalAssumptions(sel_vp=_vp(sha, p)))
+                rep = euler_char(E, p, GlobalAssumptions(sel_vp=valuation(sha, p)))
                 computed["v2(f(0))"] = rep.total
             except EulerCharError as e:
                 computed["v2(f(0))"] = f"refused: {e}"
@@ -300,7 +294,7 @@ def cmd_tables(args):
         for p, want in entry.annotations.get("euler_vp", {}).items():
             try:
                 got = euler_char(E, p, GlobalAssumptions(
-                    sel_vp=_vp(entry.annotations.get("sel_order", 1), p))).total
+                    sel_vp=valuation(entry.annotations.get("sel_order", 1), p))).total
                 fact[f"v_{p}(f(0))"] = got
                 ok = ok and got == want
             except EulerCharError as e:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
-from .padics import is_prime, valuation
+from .padics import factor, is_prime, valuation
 
 
 class SingularCurveError(ValueError):
@@ -100,11 +100,6 @@ class WeierstrassCurve:
         x = Fraction(X - 3 * self.b2, 36)
         y = (Fraction(Y, 108) - self.a1 * x - self.a3) / 2
         return (x, y)
-
-
-def curve_invariants(a1, a2, a3, a4, a6) -> WeierstrassCurve:
-    """Build a curve and its derived quantities; rejects singular input."""
-    return WeierstrassCurve(a1, a2, a3, a4, a6)
 
 
 # -- generic chord-tangent group law -------------------------------------
@@ -282,27 +277,22 @@ def torsion(E: WeierstrassCurve) -> TorsionGroup:
     if bound == 1:
         return TorsionGroup((), ())
     A, B = E.short_model()
-    # disc of the scaled model is 6^12 * disc(E); factor the small part only
-    fact = _factorize(abs(E.disc))
-    fact[2] = fact.get(2, 0) + 12
+    # Lutz-Nagell: y^2 divides 4A^3 + 27B^2 = -2^8 3^12 disc(E)
+    fact = factor(E.disc)
+    fact[2] = fact.get(2, 0) + 8
     fact[3] = fact.get(3, 0) + 12
     pts = {None}
     for y in _square_divisors(fact):
         for x in _integer_cubic_roots(A, B - y * y):
-            if y == 0 or (x * x * x + A * x + B) == y * y:
-                for yy in ({0} if y == 0 else {y, -y}):
-                    if x * x * x + A * x + B == yy * yy:
-                        P = E.from_short_point((x, yy))
-                        k = point_order(E, P, bound=12)
-                        if k is not None and bound % k == 0:
-                            pts.add((Fraction(P[0]), Fraction(P[1])))
+            for yy in {y, -y}:
+                P = E.from_short_point((x, yy))
+                k = point_order(E, P, bound=12)
+                if k is not None and bound % k == 0:
+                    pts.add(P)
     order = len(pts)
-    exps = sorted(point_order(E, P, bound=12) for P in pts if P is not None)
-    exponent = 1
-    for k in exps:
-        exponent = exponent * k // gcd(exponent, k)
     if order == 1:
         return TorsionGroup((), ())
+    exponent = lcm(*(point_order(E, P, bound=12) for P in pts if P is not None))
     gen = next(P for P in pts if P is not None and point_order(E, P, 12) == exponent)
     if exponent == order:
         return TorsionGroup((order,), (gen,))
@@ -314,19 +304,6 @@ def torsion(E: WeierstrassCurve) -> TorsionGroup:
     return TorsionGroup((2, exponent), (other, gen))
 
 
-def _factorize(n):
-    fact = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            fact[d] = fact.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        fact[n] = fact.get(n, 0) + 1
-    return fact
-
-
 def _square_divisors(fact):
     """All y >= 0 with y^2 dividing the factored integer, plus y = 0."""
     base = [1]
@@ -336,44 +313,38 @@ def _square_divisors(fact):
 
 
 def _integer_cubic_roots(A, C):
-    """Integer roots of x^3 + A x + C = 0 (float isolation, exact polish)."""
-    roots = set()
-    for approx in _real_cubic_roots(A, C):
-        x = approx
-        for _ in range(64):  # integer Newton with rounded steps
-            f = x * x * x + A * x + C
-            fp = 3 * x * x + A
-            if f == 0 or fp == 0:
-                break
-            num, den = (-f, fp) if fp > 0 else (f, -fp)
-            step = (2 * num + den) // (2 * den)
-            if step == 0:
-                break
-            x += step
-        for cand in (x - 1, x, x + 1):
-            if cand * cand * cand + A * cand + C == 0:
-                roots.add(cand)
-    return roots
+    """The set of integer roots of x^3 + A x + C, by exact bisection.
 
-
-def _real_cubic_roots(A, C):
-    """Nearest integers to the real roots of x^3 + Ax + C (float precision)."""
-    import math
-    p, q = float(A), float(C)
-    out = []
-    disc = -4 * p ** 3 - 27 * q * q
-    if disc > 0:
-        m = 2 * math.sqrt(-p / 3)
-        for k in range(3):
-            th = math.acos(max(-1.0, min(1.0, 3 * q / (p * m)))) / 3
-            out.append(round(m * math.cos(th - 2 * math.pi * k / 3)))
+    Every root has |x| < R = max(isqrt(2|A|), 2^ceil(bits(2|C|)/3)) + 1,
+    since beyond that |x|^3 > |A x| + |C|.  For A < 0 the cubic falls
+    between its critical points +-sqrt(-A/3), whose integer parts are
+    +-s with s = isqrt(-A // 3); on the integer pieces [-R, -s-1],
+    [-s, s] and [s+1, R] it is strictly monotone, so each holds at most
+    one root, and only a piece whose end values change sign is searched.
+    Roots are added from the largest down; the insertion order fixes
+    the iteration order of torsion()'s point set, hence its generators.
+    """
+    R = max(isqrt(2 * abs(A)), 1 << -(-(2 * abs(C)).bit_length() // 3)) + 1
+    if A < 0:
+        s = isqrt(-A // 3)
+        pieces = ((s + 1, R, 1), (-s, s, -1), (-R, -s - 1, 1))
     else:
-        d = math.sqrt(max(q * q / 4 + p ** 3 / 27, 0.0))
-        u = -q / 2 + d
-        v = -q / 2 - d
-        r = math.copysign(abs(u) ** (1 / 3), u) + math.copysign(abs(v) ** (1 / 3), v)
-        out.append(round(r))
-    return out
+        pieces = ((-R, R, 1),)
+    roots = set()
+    for lo, hi, sign in pieces:
+        if lo > hi or sign * ((lo * lo + A) * lo + C) > 0:
+            continue
+        if sign * ((hi * hi + A) * hi + C) < 0:
+            continue
+        while lo < hi:  # least x in [lo, hi] with sign * f(x) >= 0
+            mid = (lo + hi) >> 1
+            if sign * ((mid * mid + A) * mid + C) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if (lo * lo + A) * lo + C == 0:
+            roots.add(lo)
+    return roots
 
 
 # -- twists ----------------------------------------------------------------
@@ -383,7 +354,7 @@ def quadratic_twist(E: WeierstrassCurve, d: int) -> WeierstrassCurve:
     """Twist by a squarefree nonzero integer: y^2 = x^3 + A d^2 x + B d^3."""
     if d == 0:
         raise ValueError("d must be nonzero")
-    if any(d % (q * q) == 0 for q in range(2, isqrt(abs(d)) + 1)):
+    if any(e > 1 for e in factor(d).values()):
         raise ValueError(f"{d} is not squarefree")
     A, B = E.short_model()
     return WeierstrassCurve(0, 0, 0, A * d * d, B * d ** 3)

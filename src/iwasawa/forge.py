@@ -13,10 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import count, product
-from math import isqrt
 
-from .curves import WeierstrassCurve, count_points
-from .padics import is_prime
+from .curves import WeierstrassCurve, count_points, quadratic_twist
+from .padics import is_prime, legendre
 from .tate import tate_local
 
 SEARCH_PRIME_BOUND = 10 ** 5
@@ -164,7 +163,7 @@ def irreducibility_witness(q: int, seed: int = 0, avoid=()):
                         if ar % 2:  # t^2 - a_r t + r irreducible mod 2
                             return r, ainvs
         else:
-            if pow(-r % q, (q - 1) // 2, q) != 1:
+            if legendre(-r, q) != 1:
                 for A in range(r):
                     for B in range(r):
                         E = _curve_mod(r, (0, 0, 0, A, B))
@@ -203,9 +202,7 @@ def tate_local_model(ell: int, a_star: int, c_star: int) -> WeierstrassCurve:
     u = 1 - 1728 * ell ** c_star
     E = WeierstrassCurve(1, 0, 0, -36 * ell ** c_star * u ** 3, -(ell ** c_star) * u ** 5)
     if a_star == -1:
-        d = _unit_nonsquare(ell)
-        A, B = E.short_model()
-        E = WeierstrassCurve(0, 0, 0, A * d * d, B * d ** 3)
+        E = quadratic_twist(E, _unit_nonsquare(ell))
     loc = tate_local(E, ell)
     want = "multiplicative_split" if a_star == 1 else "multiplicative_nonsplit"
     if loc.kind != want or loc.tamagawa != c_star or loc.ord_j != -c_star:
@@ -217,14 +214,10 @@ def tate_local_model(ell: int, a_star: int, c_star: int) -> WeierstrassCurve:
 def _unit_nonsquare(ell):
     if ell == 2:
         return 5
-    d = 2
-    while pow(d, (ell - 1) // 2, ell) == 1 or not _squarefree(d):
+    d = 2  # the least nonresidue is prime, hence squarefree
+    while legendre(d, ell) == 1:
         d += 1
     return d
-
-
-def _squarefree(d):
-    return all(d % (q * q) for q in range(2, isqrt(abs(d)) + 1))
 
 
 def forge_verify(E: WeierstrassCurve, spec: ForgeSpec, witnesses=None, seed=0):
@@ -276,8 +269,7 @@ def _frob_poly_irreducible(a, r, q):
     """t^2 - a t + r irreducible over F_q."""
     if q == 2:
         return a % 2 == 1 and r % 2 == 1
-    disc = (a * a - 4 * r) % q
-    return disc != 0 and pow(disc, (q - 1) // 2, q) != 1
+    return legendre(a * a - 4 * r, q) == -1
 
 
 def crt_assemble(spec: ForgeSpec, seed: int = 0) -> ForgeResult:

@@ -170,19 +170,11 @@ def one(p, coeff_prec=DEFAULT_COEFF_PREC, t_prec=DEFAULT_T_PREC):
 
 def mu_lambda(f: LambdaElement):
     """(mu, lambda): p-power content and first unit-coefficient index."""
-    mu = None
-    for c in f.coeffs:
-        v = valuation(c, f.p)
-        if v is not None and (mu is None or v < mu):
-            mu = v
-            if mu == 0:
-                break
+    vals = [valuation(c, f.p) for c in f.coeffs]
+    mu = min((v for v in vals if v is not None), default=None)
     if mu is None:
         raise ZeroAtPrecision("element vanishes mod (p^N, T^K)")
-    for i, c in enumerate(f.coeffs):
-        if valuation(c, f.p) == mu:
-            return mu, i
-    raise AssertionError("unreachable")
+    return mu, vals.index(mu)
 
 
 def is_unit(f: LambdaElement) -> bool:
@@ -352,63 +344,6 @@ def theta_poly_int(n: int, p: int):
     return coeffs
 
 
-def smith_normal_form(matrix):
-    """Elementary divisors of an integer matrix (exact, in-place on a copy)."""
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    divisors = []
-    top = 0
-    while top < min(rows, cols):
-        # pivot: smallest nonzero entry in the remaining block
-        piv = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if m[i][j] and (piv is None or abs(m[i][j]) < abs(m[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        m[top], m[i0] = m[i0], m[top]
-        for row in m:
-            row[top], row[j0] = row[j0], row[top]
-        while True:
-            reduced = False
-            for i in range(top + 1, rows):
-                if m[i][top]:
-                    f = m[i][top] // m[top][top]
-                    for j in range(top, cols):
-                        m[i][j] -= f * m[top][j]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                        reduced = True
-            for j in range(top + 1, cols):
-                if m[top][j]:
-                    f = m[top][j] // m[top][top]
-                    for i in range(top, rows):
-                        m[i][j] -= f * m[i][top]
-                    if m[top][j]:
-                        for i in range(top, rows):
-                            m[i][top], m[i][j] = m[i][j], m[i][top]
-                        reduced = True
-            if not reduced:
-                break
-        divisors.append(abs(m[top][top]))
-        top += 1
-    divisors += [0] * (min(rows, cols) - len(divisors))
-    # enforce the divisibility chain (valuations are all we consume downstream,
-    # but the chain keeps the output canonical)
-    from math import gcd
-    for i in range(len(divisors)):
-        for j in range(i + 1, len(divisors)):
-            a, b = divisors[i], divisors[j]
-            if a and b and b % a:
-                g = gcd(a, b)
-                divisors[i], divisors[j] = g, a * b // g
-    nz = sorted(d for d in divisors if d)
-    return nz + [0] * divisors.count(0)
-
-
 def max_pn_cap():
     """The p^n bound on layer matrices: `IWASAWA_MAX_PN`, default 128."""
     raw = os.environ.get("IWASAWA_MAX_PN", "128")
@@ -451,7 +386,7 @@ def quotient_order(f: LambdaElement, n: int, cap=None):
         raise PrecisionError("elementary divisor valuation at precision limit")
     e_n = sum(vals)
     if free_rank == 0:
-        if rational_val(poly_resultant(fc, th), p) != e_n:
+        if valuation(poly_resultant(fc, th), p) != e_n:
             raise AssertionError("SNF and resultant torsion orders disagree")
     return free_rank, e_n
 
@@ -629,10 +564,7 @@ def _pseudo_rem(a, b):
     return _strip(a)
 
 
-def rational_val(x: Fraction, p: int):
-    if x == 0:
-        return None
-    return valuation(x.numerator, p) - valuation(x.denominator, p)
+rational_val = valuation  # importable name kept for callers
 
 
 def _strip(c):

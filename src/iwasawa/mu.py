@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .curves import WeierstrassCurve, ec_add, ec_mul, on_curve, point_arith
+from .curves import WeierstrassCurve, _integer_cubic_roots, ec_add, ec_mul, on_curve, point_arith
 from .padics import valuation
 from .tate import tate_local
 
@@ -75,65 +75,14 @@ def classify_two_torsion(E: WeierstrassCurve, P) -> tuple:
     if loc2.kind == "additive" or (loc2.kind == "good" and loc2.supersingular):
         raise ValueError("classifier needs good-ordinary or multiplicative reduction at 2")
     xmin, _ = loc2.map_point(P)
-    vx = valuation(xmin.numerator, 2) - valuation(xmin.denominator, 2) if xmin != 0 else 10 ** 9
-    ramified = vx < 0
+    ramified = xmin != 0 and valuation(xmin, 2) < 0
     if E.disc < 0:
-        odd = True  # the single real 2-torsion point spans the minus part
-    else:
-        xs = _two_torsion_xs(E)
-        odd = all(Fraction(P[0]) < x for x in xs if x != Fraction(P[0]))
-        assert len(xs) == 3
-    return ramified, odd
-
-
-def _two_torsion_xs(E):
-    """x-coordinates of all three 2-torsion points (disc > 0: all real).
-
-    Only rational ones are listed exactly; irrational ones enter via the
-    real roots of the division cubic, which is enough for comparisons.
-    """
-    # roots of 4x^3 + b2 x^2 + 2b4 x + b6 = 0, i.e. of the shifted cubic
-    # X^3 - 27 c4 X - 54 c6 scaled back: X = 36 x + 3 b2
-    A, B = E.short_model()
-    xs = []
-    for X in _exact_or_real_roots(A, B):
-        xs.append((X - 3 * E.b2) / 36)
-    return xs
-
-
-def _exact_or_real_roots(A, B):
-    from .curves import _integer_cubic_roots, _real_cubic_roots
-    exact = _integer_cubic_roots(A, B)
-    if len(exact) == 3:
-        return sorted(Fraction(x) for x in exact)
-    # fall back to floats for the irrational ones; comparisons only
-    roots = []
-    seen = set(exact)
-    for r in _float_roots(A, B):
-        near = min(seen, default=None, key=lambda x: abs(x - r)) if seen else None
-        if near is not None and abs(near - r) < 0.5:
-            roots.append(Fraction(near))
-            seen.discard(near)
-        else:
-            roots.append(Fraction(r).limit_denominator(10 ** 12))
-    return sorted(roots)
-
-
-def _float_roots(A, B):
-    import math
-    p, q = float(A), float(B)
-    disc = -4 * p ** 3 - 27 * q * q
-    out = []
-    if disc > 0:
-        m = 2 * math.sqrt(-p / 3)
-        th = math.acos(max(-1.0, min(1.0, 3 * q / (p * m)))) / 3
-        for k in range(3):
-            out.append(m * math.cos(th - 2 * math.pi * k / 3))
-    else:
-        d = math.sqrt(max(q * q / 4 + p ** 3 / 27, 0.0))
-        out.append(math.copysign(abs(-q / 2 + d) ** (1 / 3), -q / 2 + d)
-                   + math.copysign(abs(-q / 2 - d) ** (1 / 3), -q / 2 - d))
-    return out
+        return ramified, True  # the single real 2-torsion point spans the minus part
+    # three real roots of h(X) = X^3 + A X + B on the scaled model X = 36 x + 3 b2;
+    # the least one is the only root with X < 0 and h'(X) = 3 X^2 + A > 0
+    A, _ = E.short_model()
+    X = 36 * P[0] + 3 * E.b2
+    return ramified, X < 0 and 3 * X * X + A > 0
 
 
 # -- 2-isogenies --------------------------------------------------------------
@@ -221,10 +170,6 @@ def dual_composition_is_doubling(E, P, samples):
     return True
 
 
-def _scaled_ainvs(E):
-    return (0, E.b2, 0, 8 * E.b4, 16 * E.b6)
-
-
 # -- propagation --------------------------------------------------------------
 
 
@@ -284,24 +229,19 @@ def mu_lower_bound(label: str, p: int, edges, curves: dict | None = None) -> MuV
 
 
 def _log_order(order, p):
-    m = 0
-    while order % p == 0:
-        order //= p
-        m += 1
-    if order != 1:
+    m = valuation(order, p)
+    if order != p ** m:
         raise KernelGraphError("kernel order is not a p-power")
     return m
 
 
 def _rational_two_torsion_points(E):
-    a = tuple(Fraction(v) for v in E.ainvs())
+    """Rational points of order 2, ascending in x: integer roots X of the
+    scaled model's cubic, mapped back by x = (X - 3 b2) / 36."""
     out = []
-    for xf in _two_torsion_xs(E):
-        if not isinstance(xf, Fraction) or xf.denominator > 10 ** 9:
-            continue
-        y = -(E.a1 * xf + E.a3) / 2
-        if on_curve(a, (xf, y)):
-            out.append((xf, y))
+    for X in sorted(_integer_cubic_roots(*E.short_model())):
+        x = Fraction(X - 3 * E.b2, 36)
+        out.append((x, -(E.a1 * x + E.a3) / 2))
     return out
 
 

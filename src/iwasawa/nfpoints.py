@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .curves import WeierstrassCurve, ec_add, ec_mul, on_curve
+from .padics import factor
 
 
 class NumberField:
@@ -36,17 +37,18 @@ class NumberField:
         c0 = g[0]
         if c0 == 0:
             return False
-        for r in set(_divisor_candidates(abs(c0))):
+        divisors = [1]
+        for q, e in factor(c0).items():
+            divisors = [b * q ** i for b in divisors for i in range(e + 1)]
+        for r in divisors:
             for x in (r, -r):
                 if sum(c * x ** i for i, c in enumerate(g)) == 0:
                     return False
         if d <= 3:
             return True
         # degree 4: exclude monic integer quadratic factors (Gauss)
-        for b in _divisor_candidates(abs(c0)):
+        for b in divisors:
             for bb in (b, -b):
-                if c0 % bb:
-                    continue
                 dd = c0 // bb
                 # (x^2 + a x + bb)(x^2 + c x + dd): match coefficients
                 for a in range(-abs(g[3]) - abs(g[1]) - abs(bb) - abs(dd) - 2,
@@ -71,18 +73,6 @@ class NumberField:
 
     def __repr__(self):
         return f"NumberField({list(self.g)})"
-
-
-def _divisor_candidates(n):
-    out = [1]
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out += [d, n // d]
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 class NumberFieldElement:
@@ -234,16 +224,6 @@ def _poly_sub(a, b):
     a = list(a) + [Fraction(0)] * (n - len(a))
     b = list(b) + [Fraction(0)] * (n - len(b))
     return [x - y for x, y in zip(a, b)]
-
-
-def nf_arith(alpha, beta, op):
-    if op == "add":
-        return alpha + beta
-    if op == "mul":
-        return alpha * beta
-    if op == "inv":
-        return alpha.inverse()
-    raise ValueError(f"unknown op {op!r}")
 
 
 # -- curve points over a number field ------------------------------------

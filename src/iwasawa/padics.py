@@ -10,6 +10,8 @@ never silently pretend to more digits than the inputs support.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
+from math import gcd
 
 DEFAULT_DIGITS = 30
 
@@ -35,10 +37,8 @@ def is_prime(m: int) -> bool:
     for q in _SMALL_PRIMES:
         if m % q == 0:
             return m == q
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = valuation(m - 1, 2)
+    d = (m - 1) >> s
     for a in _SMALL_PRIMES:
         x = pow(a, d, m)
         if x in (1, m - 1):
@@ -52,21 +52,113 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def valuation(m: int, p: int):
-    """p-adic valuation of an integer; None encodes +infinity (m = 0)."""
-    if m == 0:
+def valuation(x, p: int):
+    """p-adic valuation of an int or Fraction; None encodes +infinity (x = 0)."""
+    if p < 2:
+        raise ValueError(f"valuation needs a base p >= 2, got {p}")
+    if x == 0:
         return None
+    if not isinstance(x, int):
+        return valuation(x.numerator, p) - valuation(x.denominator, p)
     v = 0
-    while m % p == 0:
-        m //= p
+    while x % p == 0:
+        x //= p
         v += 1
     return v
 
 
-def rational_valuation(x: Fraction, p: int):
-    if x == 0:
-        return None
-    return valuation(x.numerator, p) - valuation(x.denominator, p)
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) for an odd prime p, by Euler's criterion."""
+    a %= p
+    if a == 0:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+TRIAL_BOUND = 1000
+RHO_BUDGET = 1 << 20
+
+
+class FactorizationError(ArithmeticError):
+    """Pollard-Brent rho used up RHO_BUDGET iterations without a split."""
+
+
+def factor(n: int) -> dict:
+    """Prime factorization {q: e} of |n| for nonzero n, primes ascending.
+
+    Trial division below TRIAL_BOUND, then on what is left Miller-Rabin
+    (is_prime), exact perfect-power roots and Pollard-Brent rho (Cohen,
+    A Course in Computational Algebraic Number Theory, 8.5; Brent 1980).
+    Rho finds a prime factor q in about sqrt(q) iterations; each split
+    gets at most RHO_BUDGET of them, after which FactorizationError is
+    raised, so no input can hang.
+    """
+    n = abs(n)
+    if n == 0:
+        raise ValueError("0 has no prime factorization")
+    fact = {}
+    d = 2
+    while d < TRIAL_BOUND and d * d <= n:
+        if n % d == 0:
+            fact[d] = valuation(n, d)
+            n //= d ** fact[d]
+        d += 1 if d == 2 else 2
+    todo = [(n, 1)] if n > 1 else []
+    while todo:
+        m, k = todo.pop()
+        if is_prime(m):
+            fact[m] = fact.get(m, 0) + k
+            continue
+        # every prime factor of m is >= TRIAL_BOUND > 2^9, so m = r^e has e < bits/9
+        for e in range(2, m.bit_length() // 9 + 1):
+            r = _iroot(m, e)
+            if r ** e == m:
+                todo.append((r, k * e))
+                break
+        else:
+            a = _rho(m)
+            todo += [(a, k), (m // a, k)]
+    return dict(sorted(fact.items()))
+
+
+def _iroot(m: int, e: int) -> int:
+    """floor(m^(1/e)) for m >= 1, by integer Newton steps from above."""
+    x = 1 << -(-m.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + m // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+def _rho(n: int) -> int:
+    """A proper factor of an odd composite n that is not a perfect power."""
+    steps = 0
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            steps += 2 * r
+            if g == 1 and steps > RHO_BUDGET:
+                raise FactorizationError(f"no factor of {n} within {RHO_BUDGET} rho iterations")
+            r *= 2
+        if g == n:  # the last block overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 class PadicNumber:
@@ -286,21 +378,6 @@ class PadicNumber:
             u, r = divmod(u, self.p)
             ds.append(str(r))
         return f"({','.join(ds)},...)*{self.p}^{self.v}"
-
-
-def padic_arith(x: PadicNumber, y: PadicNumber, op: str) -> PadicNumber:
-    """Dispatch add/sub/mul/div with the shared precondition checks."""
-    if x.p != y.p:
-        raise PrimeMismatchError(f"primes differ: {x.p} vs {y.p}")
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
 
 
 def unit_decompose(x: PadicNumber):

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import WeierstrassCurve, ap_count, quadratic_twist, torsion
-from .padics import iwasawa_log, valuation
+from .curves import WeierstrassCurve, _integer_cubic_roots, ap_count, quadratic_twist, torsion
+from .padics import iwasawa_log, legendre, valuation
 from .tate import bad_primes, tate_local, tate_period
 
 
@@ -61,38 +61,34 @@ def euler_char(E: WeierstrassCurve, p: int, A: GlobalAssumptions,
         if locp.supersingular:
             raise SupersingularAtP(f"supersingular at {p}: positive corank regime")
         npts = p + 1 - locp.a_ell
-        vp = _vp(npts, p)
+        vp = valuation(npts, p)
         entries.append(("at-p", 2 * vp,
                         f"good ordinary, |E~(F_{p})| = {npts}"
                         + (", anomalous" if locp.anomalous else "")))
     elif locp.kind == "multiplicative_nonsplit":
-        entries.append(("at-p", _vp(2, p), "nonsplit multiplicative factor 2"))
+        entries.append(("at-p", valuation(2, p), "nonsplit multiplicative factor 2"))
     elif locp.kind == "multiplicative_split":
         q = tate_period(E, p, digits=digits or max(12, 2 * A.sel_vp + 10))
         logq = iwasawa_log(q)
         if logq.is_zero:
             raise EulerCharError("log of the Tate period vanishes at working precision")
         vlog = logq.valuation()
-        contrib = vlog - _vp(locp.tamagawa, p) - _vp(2 * p, p)
+        contrib = vlog - valuation(locp.tamagawa, p) - valuation(2 * p, p)
         entries.append(("at-p", contrib,
                         f"split multiplicative: v(log q) = {vlog}, "
-                        f"v(ord q) = {_vp(locp.tamagawa, p)}; the -{_vp(2 * p, p)} "
+                        f"v(ord q) = {valuation(locp.tamagawa, p)}; the -{valuation(2 * p, p)} "
                         "normalization is convention-dependent"))
         notes.append(f"raw v_{p}(log q) = {vlog}")
     else:
         raise EulerCharError(f"additive reduction at {p}: outside the formula's scope")
     for ell in bad_primes(E):
         c = tate_local(E, ell).tamagawa
-        entries.append((f"tamagawa {ell}", _vp(c, p), f"c_{ell} = {c}"))
+        entries.append((f"tamagawa {ell}", valuation(c, p), f"c_{ell} = {c}"))
     entries.append(("selmer", A.sel_vp, "assumed v_p of |Sel|"))
     tors = torsion(E).order
-    entries.append(("torsion", -2 * _vp(tors, p), f"|E(Q)_tors| = {tors}"))
+    entries.append(("torsion", -2 * valuation(tors, p), f"|E(Q)_tors| = {tors}"))
     total = sum(c for _, c, _ in entries)
     return EulerReport(prime=p, entries=tuple(entries), total=total, notes=tuple(notes))
-
-
-def _vp(n, p):
-    return valuation(n, p)
 
 
 @dataclass(frozen=True)
@@ -132,20 +128,20 @@ def local_kernels(E: WeierstrassCurve, p: int) -> dict:
     out = {}
     for ell in bad_primes(E):
         if ell != p:
-            out[ell] = p ** _vp(tate_local(E, ell).tamagawa, p)
+            out[ell] = p ** valuation(tate_local(E, ell).tamagawa, p)
     locp = tate_local(E, p)
     if locp.kind == "good":
         if locp.supersingular:
             raise EulerCharError(f"supersingular at {p}")
-        out[p] = p ** (2 * _vp(p + 1 - locp.a_ell, p))
+        out[p] = p ** (2 * valuation(p + 1 - locp.a_ell, p))
     elif locp.kind == "multiplicative_split":
         q = tate_period(E, p, digits=16)
         logq = iwasawa_log(q)
         if logq.is_zero:
             raise EulerCharError("log of the Tate period vanishes at working precision")
-        out[p] = p ** (logq.valuation() - _vp(2 * p, p))
+        out[p] = p ** (logq.valuation() - valuation(2 * p, p))
     elif locp.kind == "multiplicative_nonsplit":
-        out[p] = 1 if p != 2 else 2 * 2 ** _vp(locp.tamagawa, 2)
+        out[p] = 1 if p != 2 else 2 * 2 ** valuation(locp.tamagawa, 2)
     else:
         raise EulerCharError(f"additive reduction at {p}: kernel order not modeled")
     return out
@@ -286,7 +282,7 @@ def density_screen(E: WeierstrassCurve, p: int,
         raise ValueError(f"needs good reduction at {p}")
     reason = ""
     excluded = False
-    if p > 5 and _has_two_torsion(E):
+    if p > 5 and _integer_cubic_roots(*E.short_model()):  # rational 2-torsion
         excluded = True
         reason = f"rational 2-torsion and p = {p} > 5"
     q = declared_torsion_order
@@ -301,12 +297,6 @@ def density_screen(E: WeierstrassCurve, p: int,
     return ScreenReport(excluded, reason or "hypotheses absent")
 
 
-def _has_two_torsion(E):
-    from .curves import _integer_cubic_roots
-    A, B = E.short_model()
-    return [x for x in _integer_cubic_roots(A, B)]
-
-
 # -- quadratic-twist lambda formula --------------------------------------------
 
 
@@ -318,13 +308,5 @@ def twist_lambda(lambda_xi: int, d: int) -> int:
         raise ValueError("the formula covers odd characters only (d < 0)")
     if d % 5 == 0:
         raise ValueError("needs the character nonzero at 5 (5 must not divide d)")
-    sym = _legendre_sym(d, 11)
-    eps = 1 if sym == 1 else 0
+    eps = 1 if legendre(d, 11) == 1 else 0
     return 2 * lambda_xi + eps
-
-
-def _legendre_sym(a, ell):
-    a %= ell
-    if a == 0:
-        return 0
-    return 1 if pow(a, (ell - 1) // 2, ell) == 1 else -1

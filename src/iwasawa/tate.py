@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import WeierstrassCurve
-from .padics import PadicNumber, is_prime, valuation
+from .curves import WeierstrassCurve, count_points
+from .padics import PadicNumber, factor, is_prime, legendre, valuation
 
 
 @dataclass(frozen=True)
@@ -45,43 +45,25 @@ class LocalData:
         return (xm, ym)
 
 
-def _v(x, ell):
-    """Valuation with 0 treated as +infinity (for divisibility tests)."""
-    return 10 ** 9 if x == 0 else valuation(x, ell)
-
-
-def _legendre(a, p):
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 def is_square_in_Qell(x: Fraction, ell: int) -> bool:
     """Whether a nonzero rational is a square in Q_ell."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("zero has no square class")
-    vn = valuation(x.numerator, ell)
-    vd = valuation(x.denominator, ell)
-    if (vn - vd) % 2:
+    v = valuation(x, ell)
+    if v % 2:
         return False
-    num = x.numerator // ell ** vn
-    den = x.denominator // ell ** vd
+    x /= Fraction(ell) ** v
     if ell == 2:
-        u = num * pow(den, -1, 8) % 8
-        return u == 1
-    return _legendre(num * pow(den, -1, ell) % ell, ell) == 1
+        return x.numerator * pow(x.denominator, -1, 8) % 8 == 1
+    return legendre(x.numerator * pow(x.denominator, -1, ell), ell) == 1
 
 
 def _quad_root_count(a, b, c, p):
     """Number of roots of a x^2 + b x + c over F_p (a != 0 mod p)."""
     if p == 2:
         return sum(1 for x in (0, 1) if (a * x * x + b * x + c) % 2 == 0)
-    disc = (b * b - 4 * a * c) % p
-    if disc == 0:
-        return 1
-    return 2 if _legendre(disc, p) == 1 else 0
+    return 1 + legendre(b * b - 4 * a * c, p)
 
 
 def _cubic_roots_fp(coeffs, p):
@@ -101,47 +83,12 @@ def _singular_point(E: WeierstrassCurve, ell):
                 if f % ell == 0 and fx % ell == 0 and fy % ell == 0:
                     return x, y
         raise AssertionError("no singular point found")
-    # odd ell: x0 is the repeated root of 4x^3 + b2 x^2 + 2 b4 x + b6 mod ell
-    g = [E.b6 % ell, (2 * E.b4) % ell, E.b2 % ell, 4 % ell]
-    gp = [(2 * E.b4) % ell, (2 * E.b2) % ell, 12 % ell]
-    h = _fp_poly_gcd(g, gp, ell)
-    while len(h) > 2:
-        h = _fp_poly_gcd(h, [(i * c) % ell for i, c in enumerate(h)][1:], ell)
-    if len(h) != 2:
-        raise AssertionError("could not isolate the repeated root")
-    x0 = (-h[0] * pow(h[1], -1, ell)) % ell
-    y0 = (-(a1 * x0 + a3) * pow(2, -1, ell)) % ell
+    # ell >= 5: on the model Y^2 = X^3 - 27 c4 X - 54 c6 the singular point
+    # is (X0, 0) with X0 the double root -3 c6 / c4 (triple root 0 if ell | c4)
+    X0 = 0 if E.c4 % ell == 0 else -3 * E.c6 * pow(E.c4, -1, ell)
+    x0 = (X0 - 3 * E.b2) * pow(36, -1, ell) % ell
+    y0 = -(a1 * x0 + a3) * pow(2, -1, ell) % ell
     return x0, y0
-
-
-def _fp_poly_gcd(a, b, p):
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    while any(b):
-        a, b = b, _fp_poly_mod(a, b, p)
-    while a and a[-1] == 0:
-        a.pop()
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _fp_poly_mod(a, b, p):
-    a = [c % p for c in a]
-    while b and b[-1] % p == 0:
-        b = b[:-1]
-    inv = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        if a[-1]:
-            f = a[-1] * inv % p
-            off = len(a) - len(b)
-            for i in range(len(b)):
-                a[off + i] = (a[off + i] - f * b[i]) % p
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
 
 
 _COMPONENTS = {"I0": 1, "II": 1, "III": 2, "IV": 3, "I0*": 5, "IV*": 7, "III*": 8, "II*": 9}
@@ -182,11 +129,11 @@ def tate_local(E: WeierstrassCurve, ell: int) -> LocalData:
                 kind = "multiplicative_nonsplit"
             return _finish(E, cur, ell, kind, c, f"I{vD}", vD,
                            (u_tot, r_tot, s_tot, t_tot))
-        if _v(a6, ell) < 2:
+        if a6 % ell ** 2:
             return _finish(E, cur, ell, "additive", 1, "II", vD, (u_tot, r_tot, s_tot, t_tot))
-        if _v(cur.b8, ell) < 3:
+        if cur.b8 % ell ** 3:
             return _finish(E, cur, ell, "additive", 2, "III", vD, (u_tot, r_tot, s_tot, t_tot))
-        if _v(cur.b6, ell) < 3:
+        if cur.b6 % ell ** 3:
             nroots = _quad_root_count(1, a3 // ell, -(a6 // ell ** 2), ell)
             c = 3 if nroots else 1
             return _finish(E, cur, ell, "additive", c, "IV", vD, (u_tot, r_tot, s_tot, t_tot))
@@ -194,14 +141,14 @@ def tate_local(E: WeierstrassCurve, ell: int) -> LocalData:
         if ell == 2:
             apply(s=a2 % 2)
             a1, a2, a3, a4, a6 = cur.ainvs()
-            if _v(a6, 2) == 2:
+            if a6 % 8 == 4:
                 apply(t=2 * ((a6 // 4) % 2))
         else:
             apply(s=(-a1 * pow(2, -1, ell)) % ell)
             a3_now = cur.a3
             apply(t=(-a3_now * pow(2, -1, ell ** 2)) % ell ** 2)
         a1, a2, a3, a4, a6 = cur.ainvs()
-        assert all(_v(v, ell) >= k for v, k in
+        assert all(v % ell ** k == 0 for v, k in
                    ((a1, 1), (a2, 1), (a3, 2), (a4, 2), (a6, 3)))
         # cubic P(T) = T^3 + (a2/l) T^2 + (a4/l^2) T + a6/l^3 over F_ell
         pc = [(a6 // ell ** 3) % ell, (a4 // ell ** 2) % ell, (a2 // ell) % ell]
@@ -230,9 +177,9 @@ def tate_local(E: WeierstrassCurve, ell: int) -> LocalData:
             rho = (b * pow(2, -1, ell) * (ell - 1)) % ell if ell != 2 else (a6 // 16) % 2
             apply(t=ell ** 2 * rho)
             a1, a2, a3, a4, a6 = cur.ainvs()
-            if _v(a4, ell) < 4:
+            if a4 % ell ** 4:
                 return _finish(E, cur, ell, "additive", 2, "III*", vD, (u_tot, r_tot, s_tot, t_tot))
-            if _v(a6, ell) < 6:
+            if a6 % ell ** 6:
                 return _finish(E, cur, ell, "additive", 1, "II*", vD, (u_tot, r_tot, s_tot, t_tot))
             apply(u=ell)  # non-minimal model: scale down and restart
             continue
@@ -286,7 +233,7 @@ def _finish(E_orig, cur, ell, kind, c, kodaira, vD, transform):
     ordj = E_orig.ord_j(ell)
     if kodaira == "I0":
         m = 1
-        ap = ell + 1 - _count_mod(cur, ell)
+        ap = ell + 1 - count_points(cur, ell)
         data = dict(a_ell=ap, ordinary=ap % ell != 0,
                     supersingular=ap % ell == 0, anomalous=ap % ell == 1)
     else:
@@ -315,29 +262,9 @@ def _finish(E_orig, cur, ell, kind, c, kodaira, vD, transform):
                      minimal_ainvs=cur.ainvs(), u=u, r=r, s=s, t=t, **data)
 
 
-def _count_mod(E, ell):
-    from .curves import count_points
-    return count_points(E, ell)
-
-
-def bad_primes(E: WeierstrassCurve, factor_bound=10 ** 6):
-    """Primes of bad reduction (where the minimal discriminant vanishes)."""
-    n = abs(E.disc)
-    out = []
-    d = 2
-    while d * d <= n and d <= factor_bound:
-        if n % d == 0:
-            while n % d == 0:
-                n //= d
-            if tate_local(E, d).kind != "good":
-                out.append(d)
-        d += 1 if d == 2 else 2
-    if n > 1:
-        if n > factor_bound ** 2 and not is_prime(n):
-            raise ValueError("discriminant has a large unfactored part")
-        if tate_local(E, n).kind != "good":
-            out.append(n)
-    return out
+def bad_primes(E: WeierstrassCurve):
+    """Primes of bad reduction (where the minimal discriminant vanishes), ascending."""
+    return [ell for ell in factor(E.disc) if tate_local(E, ell).kind != "good"]
 
 
 def conductor(E: WeierstrassCurve) -> int:

@@ -1,15 +1,17 @@
 import random
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from iwasawa.curves import (
     SingularCurveError,
     WeierstrassCurve,
+    _integer_cubic_roots,
     ap_count,
     classify_at_p,
     count_points,
-    curve_invariants,
     ec_add,
     on_curve,
     point_arith,
@@ -42,7 +44,7 @@ def test_invariants_34():
 
 def test_singular_rejected():
     with pytest.raises(SingularCurveError):
-        curve_invariants(0, 0, 0, 0, 0)
+        WeierstrassCurve(0, 0, 0, 0, 0)
 
 
 def test_b8_identity_random():
@@ -191,3 +193,92 @@ def test_twist_rejects_non_squarefree():
         quadratic_twist(E11, 12)
     with pytest.raises(ValueError):
         quadratic_twist(E11, 0)
+
+
+# -- exact integer roots of x^3 + A x + C ----------------------------------
+
+
+def _depressed(r1, r2):
+    """(A, C) of (x - r1)(x - r2)(x + r1 + r2), whose roots sum to zero."""
+    r3 = -r1 - r2
+    return r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
+
+
+def _quadratic_integer_roots(b, c):
+    """Integer roots of x^2 + b x + c, by isqrt of the discriminant."""
+    d = b * b - 4 * c
+    if d < 0 or isqrt(d) ** 2 != d:
+        return set()
+    return {x for x in ((-b + isqrt(d)) // 2, (-b - isqrt(d)) // 2) if x * x + b * x + c == 0}
+
+
+def test_cubic_roots_three_by_construction():
+    rng = random.Random(31)
+    for _ in range(300):
+        mag = 10 ** rng.choice((1, 3, 12, 40, 100, 133))
+        r1, r2 = rng.randint(-mag, mag), rng.randint(-mag, mag)
+        A, C = _depressed(r1, r2)
+        assert _integer_cubic_roots(A, C) == {r1, r2, -r1 - r2}
+
+
+def test_cubic_roots_near_equal():
+    rng = random.Random(32)
+    for _ in range(150):
+        r = rng.randint(-10 ** rng.choice((2, 20, 130)), 10 ** 130)
+        gap = rng.randint(0, 4)
+        A, C = _depressed(r, r + gap)
+        assert _integer_cubic_roots(A, C) == {r, r + gap, -2 * r - gap}
+    # the close pair near 10^12 that a float root finder merges
+    A, C = _depressed(10 ** 12, 10 ** 12 + 2)
+    assert _integer_cubic_roots(A, C) == {10 ** 12, 10 ** 12 + 2, -2 * 10 ** 12 - 2}
+
+
+def test_cubic_roots_one_integer_root():
+    # (x - r)(x^2 + r x + c) = x^3 + (c - r^2) x - r c
+    rng = random.Random(33)
+    for _ in range(400):
+        mag = 10 ** rng.choice((1, 4, 30, 130))
+        r, c = rng.randint(-mag, mag), rng.randint(-mag * mag, mag * mag)
+        if rng.random() < 0.3:
+            c = r * r // 4 + rng.randint(1, mag)  # one real root only
+        want = {r} | _quadratic_integer_roots(r, c)
+        assert _integer_cubic_roots(c - r * r, -r * c) == want
+
+
+def test_cubic_roots_constant_term_zero():
+    for A in range(-200, 201):
+        want = {0} | ({isqrt(-A), -isqrt(-A)} if A <= 0 and isqrt(-A) ** 2 == -A else set())
+        assert _integer_cubic_roots(A, 0) == want
+    assert _integer_cubic_roots(-(10 ** 400), 0) == {0, 10 ** 200, -(10 ** 200)}
+
+
+def test_cubic_roots_exhaustive_small():
+    for A in range(-25, 26):
+        for C in range(-25, 26):
+            want = {x for x in range(-30, 31) if x ** 3 + A * x + C == 0}
+            assert _integer_cubic_roots(A, C) == want
+
+
+# -- regressions of the float root finder and trial division ---------------
+
+
+def test_torsion_with_large_close_two_torsion():
+    # y^2 = (x - a)(x - a - 2)(x + 2a + 2): three rational 2-torsion points
+    a = (2 ** 31 - 2) // 3
+    A, C = _depressed(a, a + 2)
+    T = torsion(WeierstrassCurve(0, 0, 0, A, C))
+    assert len(T.invariants) == 2 and T.invariants[0] == 2
+    assert T.invariants[1] % 2 == 0
+
+
+def test_torsion_with_big_prime_discriminant_finishes():
+    # the discriminant has a 21-digit prime factor
+    start = time.perf_counter()
+    assert torsion(WeierstrassCurve(0, 0, 1, -7, 10 ** 12 + 39)).describe() == "trivial"
+    assert time.perf_counter() - start < 2.0
+
+
+def test_twist_squarefree_check_on_large_d():
+    assert quadratic_twist(E11, 10 ** 12 + 39).j == E11.j
+    with pytest.raises(ValueError):
+        quadratic_twist(E11, -(1009 ** 2) * 3)

@@ -199,3 +199,30 @@ def test_cli_report_shapes(capsys):
     for place, contrib, note in out["euler"]["entries"]:
         assert isinstance(place, str) and isinstance(contrib, int) and isinstance(note, str)
     assert isinstance(out["mismatches"], list)
+
+
+@pytest.mark.parametrize("argv", [
+    ["euler-char", "--curve", "11a", "--p", "5", "--sel-order", "0"],
+    ["euler-char", "--curve", "11a", "--p", "5", "--sel-order", "-5"],
+    ["analyze", "--curve", "11a", "--p", "5", "--sel-order", "0"],
+    ["euler-char", "--curve", "11a", "--p", "1"],
+    ["criteria", "--curve", "11a", "--p", "1"],
+    ["mu-bound", "--curve", "768d3", "--p", "1"],
+])
+def test_cli_rejects_bad_sel_order_and_prime(argv, capsys):
+    # each of these used to loop forever in a private valuation loop
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_big_prime_discriminant_and_huge_two_torsion(capsys):
+    code = main(["--format", "json", "analyze", "--ainvs", "[0,0,1,-7,1000000000039]", "--p", "5"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["torsion"] == "trivial"
+    ainvs = [0, -10 ** 160, 0, -(10 ** 320 + 2), 10 ** 160 * (10 ** 320 + 2)]
+    code = main(["--format", "json", "mu-bound", "--ainvs", json.dumps(ainvs), "--p", "2"])
+    assert code == 0
+    entries = json.loads(capsys.readouterr().out)["two_torsion"]
+    assert list(entries) == [f"({10 ** 160}, 0)"]
+    # the curve is additive at 2, so the classifier refuses the point
+    assert "multiplicative reduction at 2" in entries[f"({10 ** 160}, 0)"]["error"]

@@ -23,7 +23,6 @@ from iwasawa.lambda_algebra import (
     one,
     poly_resultant,
     quotient_order,
-    smith_normal_form,
     theta,
     theta_poly_int,
     weierstrass_prepare,
@@ -172,12 +171,6 @@ def test_growth_law_consistency_random():
         assert g.lam == lam_f - g.lambda0
         for n in range(g.n0, n_max + 1):
             assert g.e_values[n] == g.lam * n + g.mu * p ** n + g.nu
-
-
-def test_smith_normal_form_basics():
-    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_normal_form([[1, 0], [0, 0]]) == [1, 0]
-    assert smith_normal_form([[4, 6], [6, 9]]) == [1, 0]  # det 0, gcd 1
 
 
 def test_resultant_against_sylvester_values():

@@ -182,3 +182,43 @@ def test_contradictory_kernel_graph_rejected():
              IsogenyEdge("a", "b", 2, KernelClass(2, False, True, "input"))]
     with pytest.raises(KernelGraphError):
         mu_lower_bound("a", 2, edges)
+
+
+def _full_two_torsion_curve(u1, k2, k3):
+    """y^2 + xy = x^3 + a2 x^2 + a4 x + a6 with 2-torsion x = u/4 for
+    u = u1, 4 k2, 4 k3 (u1 = 3 mod 4, k2 even, k2 + k3 = 0 mod 4); a1 = 1
+    makes the reduction at 2 good ordinary or multiplicative."""
+    us = (u1, 4 * k2, 4 * k3)
+    e2 = us[0] * us[1] + us[0] * us[2] + us[1] * us[2]
+    E = WeierstrassCurve(1, -(1 + sum(us)) // 4, 0, e2 // 16, -(us[0] * us[1] * us[2]) // 64)
+    return E, [(Fraction(u, 4), Fraction(-u, 8)) for u in us]
+
+
+def test_odd_flag_against_fraction_sort():
+    rng = random.Random(55)
+    checked = 0
+    while checked < 200:
+        mag = 10 ** rng.choice((2, 6, 40))
+        u1 = 4 * rng.randint(-mag, mag) + 3
+        k2 = 2 * rng.randint(-mag, mag)
+        k3 = 4 * rng.randint(-mag, mag) - k2
+        if len({u1, 4 * k2, 4 * k3}) < 3:
+            continue
+        E, pts = _full_two_torsion_curve(u1, k2, k3)
+        assert E.disc > 0
+        assert _rational_two_torsion_points(E) == sorted(pts)
+        least = min(P[0] for P in pts)
+        for P in pts:
+            assert classify_two_torsion(E, P)[1] == (P[0] == least)
+        checked += 1
+
+
+def test_rational_two_torsion_close_and_huge():
+    # three points near 7 * 10^8 with gap 2; float roots found one of them
+    a = (2 ** 31 - 2) // 3
+    r3 = -2 * a - 2
+    E = WeierstrassCurve(0, 0, 0, a * (a + 2) + (2 * a + 2) * r3, -a * (a + 2) * r3)
+    assert [P[0] for P in _rational_two_torsion_points(E)] == [r3, a, a + 2]
+    # y^2 = (x - 10^160)(x^2 - 10^320 - 2): float conversion overflowed
+    big = WeierstrassCurve(0, -10 ** 160, 0, -(10 ** 320 + 2), 10 ** 160 * (10 ** 320 + 2))
+    assert _rational_two_torsion_points(big) == [(10 ** 160, 0)]

@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from iwasawa import padics
 from iwasawa.padics import (
+    FactorizationError,
     PadicNumber,
     PrimeMismatchError,
+    factor,
+    is_prime,
     iwasawa_log,
-    padic_arith,
+    legendre,
     padic_exp,
     padic_pow,
     unit_decompose,
@@ -18,7 +22,7 @@ from iwasawa.padics import (
 def test_inverse_pair():
     x = PadicNumber.from_rational(5, 5)
     y = PadicNumber.from_rational(5, Fraction(1, 5))
-    prod = padic_arith(x, y, "mul")
+    prod = x * y
     assert prod == 1 and prod.v == 0
 
 
@@ -37,7 +41,7 @@ def test_sum_valuation():
 
 def test_prime_mismatch():
     with pytest.raises(PrimeMismatchError):
-        padic_arith(PadicNumber.from_rational(3, 1), PadicNumber.from_rational(5, 1), "add")
+        PadicNumber.from_rational(3, 1) + PadicNumber.from_rational(5, 1)
 
 
 def test_division_by_zero():
@@ -158,3 +162,80 @@ def test_padic_pow_matches_integer_power():
         assert padic_pow(kappa, PadicNumber.from_rational(5, k)) == 6 ** k
     kappa2 = PadicNumber.from_rational(2, 5)
     assert padic_pow(kappa2, PadicNumber.from_rational(2, 3)) == 125
+
+
+# -- the integer kernel: valuation, Legendre symbol, factor ----------------
+
+
+def test_valuation_of_ints_and_fractions():
+    assert valuation(0, 5) is None
+    assert valuation(Fraction(0), 5) is None
+    assert valuation(-250, 5) == 3
+    assert valuation(Fraction(3, 50), 5) == -2
+    assert valuation(Fraction(75, 2), 5) == 2
+    assert valuation(7, 2) == 0
+
+
+def test_valuation_rejects_base_below_two():
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError):
+            valuation(5, p)
+
+
+def test_legendre_against_squares():
+    # reference: the set of nonzero squares mod p
+    for p in (3, 5, 7, 11, 13, 101):
+        squares = {x * x % p for x in range(1, p)}
+        for a in range(-p, 2 * p):
+            want = 0 if a % p == 0 else (1 if a % p in squares else -1)
+            assert legendre(a, p) == want
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def test_factor_reassembles_seeded_integers():
+    # n <= 10^40: small and medium primes, then one 20-digit prime or the
+    # square of one (rho alone would need ~10^10 steps on the square)
+    rng = random.Random(404)
+    big = [_next_prime(rng.randrange(10 ** 19, 10 ** 20)) for _ in range(6)]
+    for trial in range(150):
+        n = (1, rng.choice(big), rng.choice(big) ** 2)[trial % 3]
+        while True:
+            q = _next_prime(rng.choice((rng.randrange(2, 10 ** 3), rng.randrange(2, 10 ** 8))))
+            if n * q > 10 ** 40 or rng.random() < 0.15:
+                break
+            n *= q
+        if trial % 7 == 0:
+            n = -n
+        fact = factor(n)
+        assert list(fact) == sorted(fact)
+        back = 1
+        for q, e in fact.items():
+            assert e >= 1 and is_prime(q)
+            # a second opinion: Fermat tests to bases is_prime does not use
+            assert q < 60 or all(pow(b, q - 1, q) == 1 for b in (41, 43, 47, 53))
+            back *= q ** e
+        assert back == abs(n)
+
+
+def test_factor_small_cases():
+    assert factor(1) == {}
+    assert factor(-12) == {2: 2, 3: 1}
+    assert factor(1009 ** 3 * 2003 ** 5) == {1009: 3, 2003: 5}
+    big = _next_prime(10 ** 20)
+    assert factor(2 * big ** 3) == {2: 1, big: 3}
+    with pytest.raises(ValueError):
+        factor(0)
+
+
+def test_factor_gives_up_with_a_named_error(monkeypatch):
+    n = 1000003 * 1000033
+    assert factor(n) == {1000003: 1, 1000033: 1}
+    monkeypatch.setattr(padics, "RHO_BUDGET", 8)
+    with pytest.raises(FactorizationError):
+        factor(n)
+    assert issubclass(FactorizationError, ArithmeticError)

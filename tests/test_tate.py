@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from iwasawa.curves import WeierstrassCurve
-from iwasawa.padics import valuation
+from iwasawa.curves import SingularCurveError, WeierstrassCurve
+from iwasawa.padics import is_prime, valuation
 from iwasawa.tate import (
+    _singular_point,
     bad_primes,
     conductor,
     is_square_in_Qell,
@@ -190,3 +191,36 @@ def test_conductor_exponent_additive_at_least_two():
     for lbl, ell in (("32a", 2), ("768d1", 2), ("1225e1", 5), ("1225e1", 7),
                      ("306b3", 3), ("1225e2", 5), ("1225e2", 7)):
         assert tate_local(E[lbl], ell).conductor_exponent >= 2
+
+
+def _singular_point_by_search(E, ell):
+    """Every (x, y) in F_ell^2 where the reduction and both partials vanish."""
+    a1, a2, a3, a4, a6 = E.ainvs()
+    return [(x, y) for x in range(ell) for y in range(ell)
+            if (y * y + a1 * x * y + a3 * y - (x ** 3 + a2 * x * x + a4 * x + a6)) % ell == 0
+            and (a1 * y - (3 * x * x + 2 * a2 * x + a4)) % ell == 0
+            and (2 * y + a1 * x + a3) % ell == 0]
+
+
+def test_singular_point_closed_form_against_search():
+    rng = random.Random(77)
+    checked = 0
+    for ell in (q for q in range(5, 50) if is_prime(q)):
+        for _ in range(25):
+            head = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(4)]
+            for a6 in range(ell):  # pick the a6 residues that make ell | disc
+                try:
+                    E = WeierstrassCurve(*head, a6 + ell * rng.randint(-10 ** 6, 10 ** 6))
+                except SingularCurveError:
+                    continue
+                if E.disc % ell == 0:
+                    assert [_singular_point(E, ell)] == _singular_point_by_search(E, ell)
+                    checked += 1
+    assert checked > 300
+
+
+def test_bad_primes_with_two_large_prime_factors():
+    # disc = 64 (10000019 * 20000003)^3; trial division to 10^6 gave up here
+    E = WeierstrassCurve(0, 0, 0, -10000019 * 20000003, 0)
+    assert bad_primes(E) == [2, 10000019, 20000003]
+    assert conductor(E) == 2 ** valuation(conductor(E), 2) * (10000019 * 20000003) ** 2
