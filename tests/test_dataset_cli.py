@@ -54,6 +54,20 @@ def test_lookup_aliases():
     assert ds.lookup("37a", extra).ainvs == (0, 0, 1, -1, 0)
 
 
+def test_lookup_hashes_the_dataset_once(monkeypatch):
+    calls = []
+    real = ds.dataset_checksum
+    monkeypatch.setattr(ds, "dataset_checksum", lambda: calls.append(1) or real())
+    for label in ("11a1", "15a3", "406d1"):
+        ds.lookup(label)
+    with pytest.raises(KeyError):
+        ds.lookup("37a")
+    assert len(calls) == 4
+    monkeypatch.setattr(ds, "_CHECKSUM", "0" * 64)
+    with pytest.raises(RuntimeError, match="integrity"):
+        ds.lookup("11a")
+
+
 def test_isogeny_edges_declared():
     edges = ds.isogeny_edges("768d3")
     assert len(edges) == 1 and edges[0].degree == 5
