@@ -28,5 +28,5 @@ print("\nReal periods of the 37-isogenous pair of conductor 1225:")
 e1 = next(e for e in dataset_load() if e.label == "1225e1").curve()
 e2 = next(e for e in dataset_load() if e.label == "1225e2").curve()
 o1, o2 = real_period(e1), real_period(e2)
-print(f"  {o1:.6f} and {o2:.6f}; ratio {o1 / o2:.9f}")
+print(f"  {float(o1):.6f} and {float(o2):.6f}; ratio {float(o1 / o2):.9f}")
 print("  The integral ratio reflects the degree-37 isogeny between them.")

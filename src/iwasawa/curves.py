@@ -90,13 +90,6 @@ class WeierstrassCurve:
         """(A, B) with y^2 = x^3 + Ax + B isomorphic to this curve over Q."""
         return -27 * self.c4, -54 * self.c6
 
-    def to_short_point(self, P):
-        """Map a point to the y^2 = x^3 - 27 c4 x - 54 c6 model."""
-        if P is None:
-            return None
-        x, y = P
-        return (36 * x + 3 * self.b2, 108 * (2 * y + self.a1 * x + self.a3))
-
     def from_short_point(self, P):
         if P is None:
             return None
@@ -425,36 +418,44 @@ def _division_value(d, x, A, B, m):
 
 
 def _integer_cubic_roots(A, C):
-    """The set of integer roots of x^3 + A x + C, by exact bisection.
+    """Integer roots of x^3 + A x + C: the root floors where it vanishes."""
+    return {x for x in _cubic_root_floors(A, C) if (x * x + A) * x + C == 0}
 
-    Every root has |x| < R = `_cubic_root_bound(A, C)`.  For A < 0 the
-    cubic falls between its critical points +-sqrt(-A/3), whose integer
-    parts are +-s with s = isqrt(-A // 3); on the integer pieces [-R, -s-1],
-    [-s, s] and [s+1, R] it is strictly monotone, so each holds at most
-    one root, and only a piece whose end values change sign is searched.
-    Roots are added from the largest down.
+
+def _cubic_root_floors(A, C):
+    """[floor(r) for each real root r of f = x^3 + A x + C], largest first
+    and a repeated root once; `_cubic_root_floors(A << 2W, C << 3W)` gives
+    the roots to 2^-W.  All roots lie in (-R, R), R = `_cubic_root_bound`.
+    For A < 0, f is strictly monotone on [-R, -s-1], [-s, s] and [s+1, R],
+    s = isqrt(-A // 3), split at its critical points +-sqrt(-A/3).  Each
+    piece with a root r gives floor(r) as its least x with sign * f(x) > 0,
+    less one (its end when there is none).  D = 4A^3 + 27C^2 < 0 puts a
+    root in all three; D > 0 one, on the side of -C; D = 0 adds the middle.
     """
     R = _cubic_root_bound(A, C)
     if A < 0:
         s = isqrt(-A // 3)
-        pieces = ((s + 1, R, 1), (-s, s, -1), (-R, -s - 1, 1))
+        right, middle, left = (s + 1, R, 1), (-s, s, -1), (-R, -s - 1, 1)
+        D = 4 * A ** 3 + 27 * C * C
+        if D < 0:
+            pieces = (right, middle, left)
+        elif D == 0:
+            pieces = (right, middle) if C < 0 else (middle, left)
+        else:
+            pieces = (right,) if C < 0 else (left,)
     else:
         pieces = ((-R, R, 1),)
-    roots = set()
+    floors = []
     for lo, hi, sign in pieces:
-        if lo > hi or sign * ((lo * lo + A) * lo + C) > 0:
-            continue
-        if sign * ((hi * hi + A) * hi + C) < 0:
-            continue
-        while lo < hi:  # least x in [lo, hi] with sign * f(x) >= 0
+        hi += 1
+        while lo < hi:  # least x in [lo, hi] with sign * f(x) > 0, else hi
             mid = (lo + hi) >> 1
-            if sign * ((mid * mid + A) * mid + C) < 0:
-                lo = mid + 1
-            else:
+            if sign * ((mid * mid + A) * mid + C) > 0:
                 hi = mid
-        if (lo * lo + A) * lo + C == 0:
-            roots.add(lo)
-    return roots
+            else:
+                lo = mid + 1
+        floors.append(lo - 1)
+    return floors
 
 
 def _cubic_root_bound(A, C):

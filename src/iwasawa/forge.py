@@ -16,7 +16,7 @@ from itertools import count, product
 
 from .curves import WeierstrassCurve, count_points, quadratic_twist
 from .padics import is_prime, legendre
-from .tate import tate_local
+from .tate import _cubic_shape, tate_local
 
 SEARCH_PRIME_BOUND = 10 ** 5
 T_CAP = 64
@@ -137,7 +137,7 @@ def _curve_mod(p, ainvs):
     return E if E.disc % p else None
 
 
-def irreducibility_witness(q: int, seed: int = 0, avoid=()):
+def irreducibility_witness(q: int, avoid=()):
     """(r, curve mod r) with Frobenius acting irreducibly on the q-torsion.
 
     q = 2: y^2 = irreducible cubic over F_r (no rational 2-torsion).
@@ -154,14 +154,11 @@ def irreducibility_witness(q: int, seed: int = 0, avoid=()):
         if q == 2:
             for c in range(r):
                 for d in range(r):
-                    if _cubic_irreducible_mod(c, d, r):
-                        ainvs = (0, 0, 0, c, d)
-                        E = _curve_mod(r, ainvs)
-                        if E is None:
-                            continue
-                        ar = r + 1 - count_points(E, r)
+                    # no root: irreducible, hence squarefree, so E is nonsingular mod r
+                    if _cubic_shape(d, c, 0, r) == (1, 0):
+                        ar = r + 1 - count_points(WeierstrassCurve(0, 0, 0, c, d), r)
                         if ar % 2:  # t^2 - a_r t + r irreducible mod 2
-                            return r, ainvs
+                            return r, (0, 0, 0, c, d)
         else:
             if legendre(-r, q) != 1:
                 for A in range(r):
@@ -171,11 +168,6 @@ def irreducibility_witness(q: int, seed: int = 0, avoid=()):
                             continue
                         if count_points(E, r) == r + 1:  # a_r = 0
                             return r, (0, 0, 0, A, B)
-
-
-def _cubic_irreducible_mod(c, d, r):
-    """x^3 + c x + d irreducible over F_r (degree 3: no root suffices)."""
-    return all((x ** 3 + c * x + d) % r for x in range(r))
 
 
 def _next_prime(n):
@@ -220,7 +212,7 @@ def _unit_nonsquare(ell):
     return d
 
 
-def forge_verify(E: WeierstrassCurve, spec: ForgeSpec, witnesses=None, seed=0):
+def forge_verify(E: WeierstrassCurve, spec: ForgeSpec, witnesses=None):
     """Per-clause ledger: traces at P, local data at L, and irreducibility
     certificates at Q (Frobenius characteristic polynomial irreducible
     mod q at a witness prime).  Certificates may fail to certify without
@@ -281,7 +273,7 @@ def crt_assemble(spec: ForgeSpec, seed: int = 0) -> ForgeResult:
     for p, a_star in spec.good:
         models[p] = (deuring_search(p, a_star, seed), 1)
     for q in spec.irreducible:
-        r, ainvs = irreducibility_witness(q, seed, avoid=avoid | set(witnesses.values()))
+        r, ainvs = irreducibility_witness(q, avoid=avoid | set(witnesses.values()))
         witnesses[q] = r
         models[r] = (ainvs, 1)
     t_mult = {l: max(4, c + 2) for l, _, c in spec.mult}
@@ -289,8 +281,8 @@ def crt_assemble(spec: ForgeSpec, seed: int = 0) -> ForgeResult:
         full = dict(models)
         for l, a_star, c_star in spec.mult:
             full[l] = (tate_local_model(l, a_star, c_star).ainvs(), t_mult[l])
-        E = _combine(full, seed)
-        ledger, used = forge_verify(E, spec, witnesses, seed)
+        E = _combine(full)
+        ledger, used = forge_verify(E, spec, witnesses)
         if all(entry[3] for entry in ledger):
             return ForgeResult(E, ledger, used, {m: t for m, (_, t) in full.items()})
         if not spec.mult or all(t_mult[l] >= T_CAP for l in t_mult):
@@ -299,7 +291,7 @@ def crt_assemble(spec: ForgeSpec, seed: int = 0) -> ForgeResult:
             t_mult[l] = min(T_CAP, 2 * t_mult[l])
 
 
-def _combine(models, seed):
+def _combine(models):
     """Coefficientwise CRT with centered lifts; keeps the curve nonsingular."""
     if not models:
         return WeierstrassCurve(0, 0, 0, -1, 1)
@@ -316,7 +308,7 @@ def _combine(models, seed):
             resid += model[i] * rest * pow(rest, -1, mt)
         resid %= M
         ainvs.append(resid - M if resid > M // 2 else resid)
-    for bump in range(8):
+    for _ in range(8):
         try:
             return WeierstrassCurve(*ainvs)
         except ValueError:

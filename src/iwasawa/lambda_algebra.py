@@ -598,8 +598,8 @@ class StabilizationError(ArithmeticError):
 def growth_fit(f: LambdaElement, n_max: int, cap=None) -> GrowthParams:
     """Fit e_n = lam*n + mu*p^n + nu on the layer quotients of Lambda/(f).
 
-    lambda0 is the stabilized free rank; the fitted lam equals
-    lambda(f) - lambda0 and mu equals mu(f), both asserted.
+    lambda0 is the stabilized free rank; lam = lambda(f) - lambda0 and mu = mu(f)
+    come from mu_lambda, nu from layer n_max; the law must hold from n0 <= n_max - 1.
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2")

@@ -218,9 +218,6 @@ class PadicNumber:
         """Valuation; None plays the role of +infinity for (apparent) zero."""
         return None if self.is_zero else self.v
 
-    def unit_lift(self):
-        return self.u
-
     def lift(self):
         """Integer representative p^v * u; requires v >= 0 and nonzero."""
         if self.is_zero:
@@ -447,7 +444,7 @@ def _log_one_plus(t: PadicNumber) -> PadicNumber:
 
 
 def padic_exp(t: PadicNumber) -> PadicNumber:
-    """exp(t) for v(t) >= 1 (odd p) or v(t) >= 2 (p = 2); test oracle only."""
+    """exp(t) for v(t) >= 1 (odd p) or v(t) >= 2 (p = 2); padic_pow uses it."""
     p = t.p
     if t.is_zero:
         return PadicNumber(p, 0, 1, max(t.abs_prec, 1), _checked=True)

@@ -1,81 +1,61 @@
-"""Real periods by the arithmetic-geometric mean.
-
-This is the one non-exact computation in the package: 64-bit floats,
-with the AGM converging quadratically to machine precision.  The period
-integrates the invariant differential over E(R): twice the loop value
-pi/AGM when the 2-division cubic has three real roots (two components),
-and the single-loop complex-pair formula otherwise.
+"""Real periods by the arithmetic-geometric mean (Cremona and Thongjunthug,
+J. Number Theory 133, 2013) in integer fixed point at scale 2^W: roots
+from `curves._cubic_root_floors`, isqrt for square roots and the AGM,
+and pi by Machin's formula.
 """
 
 from __future__ import annotations
 
-import math
+from fractions import Fraction
+from math import isqrt
 
-from .curves import WeierstrassCurve
+from .curves import WeierstrassCurve, _cubic_root_bound, _cubic_root_floors
 
-
-class AGMError(ArithmeticError):
-    pass
-
-
-def _agm(a, b, cap=120):
-    for _ in range(cap):
-        if abs(a - b) <= 1e-15 * abs(a):
-            return (a + b) / 2
-        a, b = (a + b) / 2, math.sqrt(a * b)
-    raise AGMError("AGM failed to converge")
+#: real_period is within a relative 2^-PERIOD_BITS of the true period
+PERIOD_BITS = 128
 
 
-def _cubic_roots_real(b, c, d):
-    """Roots of the monic real cubic x^3 + b x^2 + c x + d, Newton-polished."""
-    p = c - b * b / 3.0
-    q = 2 * b ** 3 / 27.0 - b * c / 3.0 + d
-    shift = -b / 3.0
+def real_period(E: WeierstrassCurve) -> Fraction:
+    """Total real period of E(R) for the given (assumed minimal) model,
+    within a relative 2^-PERIOD_BITS.
 
-    def polish(x):
-        for _ in range(60):
-            f = ((x + b) * x + c) * x + d
-            fp = (3 * x + 2 * b) * x + c
-            if fp == 0:
-                return x
-            x2 = x - f / fp
-            if x2 == x:
-                return x
-            x = x2
-        return x
-
-    disc = -4 * p ** 3 - 27 * q * q
-    if disc > 0:
-        m = 2 * math.sqrt(-p / 3.0)
-        th = math.acos(max(-1.0, min(1.0, 3 * q / (p * m)))) / 3.0
-        roots = sorted(polish(m * math.cos(th - 2 * math.pi * k / 3) + shift) for k in range(3))
-        return roots, None
-    a = math.sqrt(max(q * q / 4.0 + p ** 3 / 27.0, 0.0))
-    u, v = -q / 2.0 + a, -q / 2.0 - a
-    r = polish(math.copysign(abs(u) ** (1 / 3.0), u)
-               + math.copysign(abs(v) ** (1 / 3.0), v) + shift)
-    B = b + r
-    C = c + r * B
-    re = -B / 2.0
-    im = math.sqrt(max(C - re * re, 0.0))
-    return [r], (re, im)
-
-
-def real_period(E: WeierstrassCurve, tol: float = 1e-12) -> float:
-    """Total real period of E(R) for the given (assumed minimal) model.
-
-    disc > 0: two components, each loop contributing pi/AGM(sqrt(e1-e3),
-    sqrt(e1-e2)).  disc < 0: one component, 2*pi/AGM(2*sqrt(m),
-    sqrt(2m + 2(e1-Re e2))) with m = |e1 - e2| for the complex pair.
+    On Y^2 = X^3 + A X + B (X = 36 x + 3 b2) it is 12 pi / AGM(a, b):
+    with two components (disc > 0), a = sqrt(e1 - e3), b = sqrt(e1 - e2)
+    for the roots e1 > e2 > e3; with one, a = 2 sqrt(M), b = sqrt(2M + 3 e1)
+    for the real root e1 and M = sqrt(3 e1^2 + A) = |e1 - e2|, and for
+    e1 < 0 the cancelling 2M + 3 e1 is (4A^3 + 27B^2) / (M^4 (2M - 3 e1)).
+    Roots lie below R = `_cubic_root_bound(A, B)` < 2^k, so an integer
+    discriminant keeps root gaps above 2^(-2k-2) and b^2 above 2^(-5k-7);
+    each floor, isqrt and AGM step errs by under 2^-W, and W = PERIOD_BITS
+    + 3k + 16 keeps the quotient well inside the bound.
     """
-    b = E.b2 / 4.0
-    c = E.b4 / 2.0
-    d = E.b6 / 4.0
-    real_roots, cpx = _cubic_roots_real(b, c, d)
-    if E.disc > 0:
-        e3, e2, e1 = real_roots
-        return 2 * math.pi / _agm(math.sqrt(e1 - e3), math.sqrt(e1 - e2))
-    e1 = real_roots[0]
-    phi, psi = cpx
-    m = math.hypot(e1 - phi, psi)
-    return 2 * math.pi / _agm(2 * math.sqrt(m), math.sqrt(2 * m + 2 * (e1 - phi)))
+    A, B = E.short_model()
+    W = PERIOD_BITS + 3 * _cubic_root_bound(A, B).bit_length() + 16
+    roots = _cubic_root_floors(A << 2 * W, B << 3 * W)
+    if len(roots) == 3:
+        e1, e2, e3 = roots
+        a, b = isqrt((e1 - e3) << W), isqrt((e1 - e2) << W)
+    else:
+        (e1,) = roots
+        m = isqrt(3 * e1 * e1 + (A << 2 * W))
+        if e1 >= 0:
+            s = (2 * m + 3 * e1) << W
+        else:
+            s = ((4 * A ** 3 + 27 * B * B) << 7 * W) // (m ** 4 * (2 * m - 3 * e1))
+        a, b = 2 * isqrt(m << W), isqrt(s)
+    while a != b:  # the AGM, each mean rounded down: a - b shrinks to 0
+        a, b = (a + b) >> 1, isqrt(a * b)
+    return Fraction(12 * _pi(W), a)
+
+
+def _pi(W):
+    """pi * 2^W within 2 units, as 16 atan(1/5) - 4 atan(1/239) (Machin)
+    with every series term truncated at bits(W) + 8 guard bits."""
+    guard = W.bit_length() + 8
+    total = 0
+    for c, x in ((16, 5), (-4, 239)):
+        term, n = (1 << (W + guard)) // x, 1
+        while term:
+            total += c * (term // n)
+            term, n, c = term // (x * x), n + 2, -c
+    return total >> guard

@@ -66,9 +66,43 @@ def _quad_root_count(a, b, c, p):
     return 1 + legendre(b * b - 4 * a * c, p)
 
 
-def _cubic_roots_fp(coeffs, p):
-    """Roots in F_p of a cubic given ascending coefficients (monic mod p)."""
-    return [x for x in range(p) if (coeffs[0] + x * (coeffs[1] + x * (coeffs[2] + x))) % p == 0]
+def _cubic_shape(c0, c1, c2, ell):
+    """(m, x) for P = T^3 + c2 T^2 + c1 T + c0 over F_ell: m = 3 or 2 and x
+    the root of that multiplicity, or m = 1 and x the number of roots.
+
+    ell <= 3 scans F_ell: a root x is repeated when P'(x) = 0, triple when
+    also c2 + 3x = 0.  Else a repeated root (disc = 0) is -c2/3 (triple)
+    when c2^2 = 3 c1, or (9 c0 - c2 c1) / (2 (c2^2 - 3 c1)) (double); a
+    squarefree P has 3 roots when T^ell = T mod P, else 1 when disc is a
+    nonresidue, else 0.
+    """
+    if ell <= 3:
+        roots = [x for x in range(ell) if (c0 + x * (c1 + x * (c2 + x))) % ell == 0]
+        for x in roots:
+            if (c1 + x * (2 * c2 + 3 * x)) % ell == 0:
+                return (3 if (c2 + 3 * x) % ell == 0 else 2), x
+        return 1, len(roots)
+    disc = (c2 * c1) ** 2 - 4 * c1 ** 3 - 4 * c2 ** 3 * c0 - 27 * c0 * c0 + 18 * c2 * c1 * c0
+    if disc % ell == 0:
+        e = c2 * c2 - 3 * c1
+        if e % ell == 0:
+            return 3, -c2 * pow(3, -1, ell) % ell
+        return 2, (9 * c0 - c2 * c1) * pow(2 * e, -1, ell) % ell
+
+    def mulmod(u, v):  # u v mod (P, ell) for u, v of degree < 3
+        w = [sum(u[i] * v[k - i] for i in range(3) if 0 <= k - i < 3) for k in range(5)]
+        for k in (4, 3):  # T^k = -T^(k-3) (c2 T^2 + c1 T + c0)
+            w[k - 3:k] = w[k - 3] - w[k] * c0, w[k - 2] - w[k] * c1, w[k - 1] - w[k] * c2
+        return [x % ell for x in w[:3]]
+
+    power, base, n = [1, 0, 0], [0, 1, 0], ell
+    while n:
+        if n & 1:
+            power = mulmod(power, base)
+        base, n = mulmod(base, base), n >> 1
+    if power == [0, 1, 0]:
+        return 1, 3
+    return 1, 1 if legendre(disc, ell) == -1 else 0
 
 
 def _singular_point(E: WeierstrassCurve, ell):
@@ -152,21 +186,13 @@ def tate_local(E: WeierstrassCurve, ell: int) -> LocalData:
                    ((a1, 1), (a2, 1), (a3, 2), (a4, 2), (a6, 3)))
         # cubic P(T) = T^3 + (a2/l) T^2 + (a4/l^2) T + a6/l^3 over F_ell
         pc = [(a6 // ell ** 3) % ell, (a4 // ell ** 2) % ell, (a2 // ell) % ell]
-        roots = _cubic_roots_fp(pc, ell)
-        # a repeated root of a cubic over F_ell is itself rational, so the
-        # multiplicity pattern is visible on the rational roots
-        mults = {}
-        for x in roots:
-            _, c1s, c2s = _shift_cubic(pc, x, ell)
-            mults[x] = 3 if c1s == 0 and c2s == 0 else (2 if c1s == 0 else 1)
-        maxmult = max(mults.values(), default=1)
-        if maxmult == 1:
-            c = 1 + len(roots)
-            return _finish(E, cur, ell, "additive", c, "I0*", vD, (u_tot, r_tot, s_tot, t_tot))
+        maxmult, alpha = _cubic_shape(*pc, ell)
+        if maxmult == 1:  # alpha counts the roots
+            return _finish(E, cur, ell, "additive", 1 + alpha, "I0*", vD,
+                           (u_tot, r_tot, s_tot, t_tot))
+        apply(r=ell * alpha)  # the repeated root to 0
         if maxmult == 3:
-            # triple root: shift it to 0 and look at Y^2 + (a3/l^2) Y - a6/l^4
-            alpha = next(x for x, m in mults.items() if m == 3)
-            apply(r=ell * alpha)
+            # triple root: look at Y^2 + (a3/l^2) Y - a6/l^4
             a1, a2, a3, a4, a6 = cur.ainvs()
             b = (a3 // ell ** 2) % ell
             cc = (-(a6 // ell ** 4)) % ell
@@ -183,9 +209,7 @@ def tate_local(E: WeierstrassCurve, ell: int) -> LocalData:
                 return _finish(E, cur, ell, "additive", 1, "II*", vD, (u_tot, r_tot, s_tot, t_tot))
             apply(u=ell)  # non-minimal model: scale down and restart
             continue
-        # double root: type I_m* after translating the double root to 0
-        alpha = next(x for x, m in mults.items() if m == 2)
-        apply(r=ell * alpha)
+        # double root: type I_m*
         m = 1
         mx = my = ell * ell
         while True:
@@ -218,14 +242,6 @@ def tate_local(E: WeierstrassCurve, ell: int) -> LocalData:
             m += 1
         return _finish(E, cur, ell, "additive", c, f"I{m}*", vD,
                        (u_tot, r_tot, s_tot, t_tot))
-
-
-def _shift_cubic(pc, x0, ell):
-    """Coefficients of P(T + x0) mod ell for monic cubic with low coeffs pc."""
-    c0, c1, c2 = pc
-    return ((c0 + c1 * x0 + c2 * x0 * x0 + x0 ** 3) % ell,
-            (c1 + 2 * c2 * x0 + 3 * x0 * x0) % ell,
-            (c2 + 3 * x0) % ell)
 
 
 def _finish(E_orig, cur, ell, kind, c, kodaira, vD, transform):

@@ -178,6 +178,32 @@ def test_cli_usage_error_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--p", "5"],
+    ["analyze", "--ainvs", "[0,0,0,0]", "--p", "5"],
+    ["analyze", "--ainvs", "[0,0,0,1.5,0]", "--p", "5"],
+    ["analyze", "--ainvs", '{"ainvs": ["0", "0", "0", "x", "0"]}', "--p", "5"],
+])
+def test_cli_rejects_bad_curve_input(argv, capsys):
+    # no curve, four a-invariants and a non-integer a4 used to raise
+    # AttributeError, raise TypeError and truncate a4 to 1
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--curve", "11a"],
+    ["--seed", "7", "forge", "--spec", "spec.json"],
+    ["no-such-command"],
+])
+def test_cli_argparse_usage_errors_exit_1(argv, capsys):
+    # exit code 2 is kept for a computed value that contradicts an expected one
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 1
+    assert "error: " in capsys.readouterr().err
+
+
 def test_cli_determinism(capsys):
     main(["--format", "json", "analyze", "--curve", "11a", "--p", "5"])
     first = capsys.readouterr().out

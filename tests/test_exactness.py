@@ -1,11 +1,11 @@
-"""The package is exact except the real-period AGM in periods.py.
+"""The package is exact: no module computes with floats.
 
-Every other module is parsed and searched for the ways a float gets in:
+Every module is parsed and searched for the ways a float gets in:
 float() calls, math functions that are not integer-only, float literals,
 a true division of two integer literals, and Fraction.limit_denominator.
-Two float uses are allowed by name: the tolerance on the period ratio
-that periods returns (cli.cmd_tables, the statements reading `ratio`),
-and the annotated `real_period` values of the dataset.
+Two float uses are allowed by name: the one output conversion of the
+period ratio (`round(float(ratio), 9)` in cli.cmd_tables) and the
+annotated `real_period` values of the dataset.
 """
 
 import ast
@@ -15,7 +15,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "iwasawa"
 INTEGER_MATH = {"gcd", "isqrt", "lcm", "comb", "factorial", "prod"}
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "periods.py")
+MODULES = sorted(p.name for p in SRC.glob("*.py"))
+OUTPUT_CONVERSION = "round(float(ratio), 9)"
 
 
 def _parents(tree):
@@ -32,19 +33,17 @@ def _allowed(module, node, up):
         key = parent.keys[parent.values.index(node)] if node in parent.values else None
         return isinstance(key, ast.Constant) and key.value == "real_period"
     if module == "cli.py":
-        stmt = node
-        while not isinstance(stmt, ast.stmt):
-            stmt = up[stmt]
-        func = stmt
+        outer = parent if isinstance(parent, ast.Call) else node  # float() inside round()
+        func = up.get(outer)
         while func is not None and not isinstance(func, ast.FunctionDef):
             func = up.get(func)
         return (func is not None and func.name == "cmd_tables"
-                and any(isinstance(n, ast.Name) and n.id == "ratio" for n in ast.walk(stmt)))
+                and ast.unparse(outer) == OUTPUT_CONVERSION)
     return False
 
 
-def _float_uses(module):
-    tree = ast.parse((SRC / module).read_text())
+def _float_uses(module, source):
+    tree = ast.parse(source)
     up = _parents(tree)
     for node in ast.walk(tree):
         what = None
@@ -71,11 +70,34 @@ def _float_uses(module):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_floats_outside_periods(module):
-    assert list(_float_uses(module)) == []
+    # the name predates periods.py joining MODULES; it is kept so the
+    # test ids stay stable
+    assert list(_float_uses(module, (SRC / module).read_text())) == []
+
+
+SYNTHETIC = '''
+import math
+from math import isqrt, sqrt
+
+
+def period(a, b):
+    return math.pi / math.sqrt(a * b) + 0.5 + float(a) + 1 / 3 + b.limit_denominator(9)
+
+
+def cmd_tables(ratio):
+    return round(float(ratio), 9), round(ratio, 9), float(ratio)
+
+
+def cmd_other(ratio):
+    return round(float(ratio), 9)
+'''
 
 
 def test_guard_sees_the_float_code_it_forbids():
-    # periods keeps the float AGM, the one inexact path
-    uses = list(_float_uses("periods.py"))
-    assert any("math.sqrt" in u for u in uses)
-    assert any("float literal" in u for u in uses)
+    uses = [u.split(": ", 1)[1] for u in _float_uses("cli.py", SYNTHETIC)]
+    assert uses.count("math.pi") == uses.count("math.sqrt") == 1
+    assert "from math import sqrt" in uses
+    assert "float literal 0.5" in uses and "int / int" in uses
+    assert "limit_denominator" in uses
+    # only the exact output conversion inside cmd_tables is allowed
+    assert uses.count("round()") == 2 and uses.count("float()") == 3

@@ -107,7 +107,7 @@ def test_combine_without_nonsingular_lift_raises(monkeypatch):
 
     monkeypatch.setattr(forge, "WeierstrassCurve", singular)
     with pytest.raises(ForgeError, match="nonsingular lift"):
-        _combine({5: ((0, 0, 0, 1, 0), 1)}, seed=0)
+        _combine({5: ((0, 0, 0, 1, 0), 1)})
 
 
 def test_irreducibility_witness_q3():

@@ -1,11 +1,13 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from iwasawa.curves import SingularCurveError, WeierstrassCurve
-from iwasawa.padics import is_prime, valuation
+from iwasawa.curves import SingularCurveError, WeierstrassCurve, quadratic_twist
+from iwasawa.padics import is_prime, legendre, valuation
 from iwasawa.tate import (
+    _cubic_shape,
     _singular_point,
     bad_primes,
     conductor,
@@ -224,3 +226,38 @@ def test_bad_primes_with_two_large_prime_factors():
     E = WeierstrassCurve(0, 0, 0, -10000019 * 20000003, 0)
     assert bad_primes(E) == [2, 10000019, 20000003]
     assert conductor(E) == 2 ** valuation(conductor(E), 2) * (10000019 * 20000003) ** 2
+
+
+def _cubic_shape_by_search(c0, c1, c2, ell):
+    """The scan oracle: every root of P over F_ell, with its multiplicity
+    read off the low coefficients of P(T + x)."""
+    mults = {}
+    for x in range(ell):
+        if (c0 + x * (c1 + x * (c2 + x))) % ell == 0:
+            d1, d2 = (c1 + 2 * c2 * x + 3 * x * x) % ell, (c2 + 3 * x) % ell
+            mults[x] = 3 if d1 == d2 == 0 else (2 if d1 == 0 else 1)
+    for x, m in mults.items():
+        if m > 1:
+            return m, x
+    return 1, len(mults)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
+def test_cubic_shape_against_search_on_every_cubic(ell):
+    for c0 in range(ell):
+        for c1 in range(ell):
+            for c2 in range(ell):
+                assert _cubic_shape(c0, c1, c2, ell) == _cubic_shape_by_search(c0, c1, c2, ell)
+
+
+@pytest.mark.parametrize("d", [10000019, 10 ** 12 + 39])
+def test_additive_at_a_large_twisting_prime(d):
+    # the twist of 11a by d is I0* at d: c = 1 + the roots of the cubic
+    # mod d; scanning F_d took seconds at 10^7 and never ended at 10^12
+    start = time.perf_counter()
+    loc = tate_local(quadratic_twist(E["11a"], d), d)
+    assert time.perf_counter() - start < 2.0
+    assert (loc.kind, loc.kodaira, loc.conductor_exponent) == ("additive", "I0*", 2)
+    # the cubic's discriminant is -11^5 times a square: one root exactly
+    # when -11 is a nonresidue mod d, else none or three
+    assert loc.tamagawa in ((2,) if legendre(-11, d) == -1 else (1, 4))
