@@ -16,7 +16,8 @@ from . import dataset as ds
 from . import lambda_algebra as la
 from .curves import WeierstrassCurve, torsion
 from .forge import ForgeSpec, crt_assemble
-from .mu import classify_two_torsion, mu_lower_bound, _rational_two_torsion_points
+from .mu import (IsogenyEdge, KernelClass, _rational_two_torsion_points,
+                 classify_two_torsion, mu_lower_bound)
 from .nfpoints import verify_paper_points
 from .padics import valuation
 from .periods import real_period
@@ -49,6 +50,26 @@ def _ainvs(values):
             or any(isinstance(v, bool) or not isinstance(v, (int, str)) for v in values)):
         raise ValueError(f"a-invariants must be a list of five integers, got {values!r}")
     return [int(v) for v in values]
+
+
+def _edges(path):
+    """IsogenyEdges from the --edges file (the format is in the README)."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, list):
+        raise ValueError(f"the edges file must hold a JSON list, got {data!r}")
+    edges = []
+    for d in data:
+        k = d.get("kernel") if isinstance(d, dict) else None
+        if (not isinstance(k, dict) or not all(isinstance(d.get(f), str) for f in ("from", "to"))
+                or not all(type(x) is int for x in (d.get("degree"), k.get("order")))
+                or not all(type(k.get(f)) is bool for f in ("ramified", "odd"))):
+            raise ValueError("an isogeny edge needs string labels, integer degree and order, "
+                             f"and boolean ramified and odd, got {d!r}")
+        edges.append(IsogenyEdge(d["from"].lower(), d["to"].lower(), d["degree"],
+                                 KernelClass(k["order"], k["ramified"], k["odd"],
+                                             k.get("provenance", "input"))))
+    return edges
 
 
 def _extra_curves(args):
@@ -180,15 +201,7 @@ def cmd_criteria(args):
 
 def cmd_mu_bound(args):
     label, E, _ = _load_curve(args)
-    edges = ds.isogeny_edges(label)
-    if args.edges:
-        with open(args.edges) as fh:
-            from .mu import IsogenyEdge, KernelClass
-            for d in json.load(fh):
-                k = d["kernel"]
-                edges.append(IsogenyEdge(d["from"].lower(), d["to"].lower(), int(d["degree"]),
-                                         KernelClass(int(k["order"]), bool(k["ramified"]),
-                                                     bool(k["odd"]), k.get("provenance", "input"))))
+    edges = ds.isogeny_edges(label) + (_edges(args.edges) if args.edges else [])
     v = mu_lower_bound(label, args.p, edges, curves={label: E})
     payload = {"label": label, "p": args.p, "mu_lower_bound": v.lower_bound, "rule": v.rule}
     if args.p == 2:

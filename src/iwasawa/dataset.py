@@ -5,7 +5,7 @@ Annotations are data, never recomputed: expected Tamagawa numbers,
 torsion structure, Euler-characteristic valuations, reported analytic
 invariants, predicted Selmer orders, and declared isogeny-kernel
 classifications.  Each annotation carries a descriptive source string.
-The loader integrity-checks the table with a checksum.
+The table is integrity-checked by its checksum once, at import.
 """
 
 from __future__ import annotations
@@ -175,28 +175,23 @@ def dataset_checksum():
     return hashlib.sha256(_canonical().encode()).hexdigest()
 
 
-def _check_integrity():
-    if dataset_checksum() != _CHECKSUM:
-        raise RuntimeError("dataset integrity failure (checksum)")
+if dataset_checksum() != _CHECKSUM:
+    raise RuntimeError("dataset integrity failure (checksum)")
 
 
 def dataset_load():
-    """The thirteen printed curves, integrity-checked."""
-    _check_integrity()
+    """The thirteen printed curves."""
     return [DatasetEntry(lbl, a, ann, _SRC) for lbl, a, ann in _ENTRIES]
 
 
 def dataset_extras():
-    _check_integrity()
     return [DatasetEntry(lbl, a, ann, _SRC) for lbl, a, ann in _EXTRAS]
 
 
 def lookup(label: str, extra: dict | None = None) -> DatasetEntry:
     """Find a dataset entry by label; '11a1' style aliases accepted, and a
-    user-supplied mapping label -> a-invariants fills table-only rows.
-    The table is integrity-checked once per call."""
+    user-supplied mapping label -> a-invariants fills table-only rows."""
     want = label.lower()
-    _check_integrity()
     for lbl, a, ann in _ENTRIES + _EXTRAS:
         if lbl == want or lbl + "1" == want or want + "1" == lbl:
             return DatasetEntry(lbl, a, ann, _SRC)

@@ -53,14 +53,30 @@ class ForgeSpec:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(good=tuple((int(p), int(a)) for p, a in d.get("P", [])),
-                   mult=tuple((int(l), int(a), int(c)) for l, a, c in d.get("L", [])),
-                   irreducible=tuple(int(q) for q in d.get("Q", [])))
+        """The spec {"P": [[p, a_p*], ...], "L": [[ell, a*, c*], ...], "Q": [q, ...]},
+        every entry a JSON integer: floats, strings and booleans are refused."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a forge spec is a JSON object, got {d!r}")
+        P, L = d.get("P", []), d.get("L", [])
+        if not isinstance(P, list) or not isinstance(L, list):
+            raise ValueError(f"P and L must be lists, got {P!r} and {L!r}")
+        return cls(good=tuple(_ints(r, 2, "a P entry") for r in P),
+                   mult=tuple(_ints(r, 3, "an L entry") for r in L),
+                   irreducible=_ints(d.get("Q", []), None, "Q"))
 
     def to_dict(self):
         return {"P": [list(x) for x in self.good],
                 "L": [list(x) for x in self.mult],
                 "Q": list(self.irreducible)}
+
+
+def _ints(values, width, what):
+    """values as a tuple, if it is a list of (width, if given) JSON integers."""
+    if (not isinstance(values, list) or width not in (None, len(values))
+            or any(type(v) is not int for v in values)):
+        count = f"{width} " if width else ""
+        raise ValueError(f"{what} must be a list of {count}integers, got {values!r}")
+    return tuple(values)
 
 
 @dataclass(frozen=True)

@@ -628,24 +628,22 @@ def growth_fit(f: LambdaElement, n_max: int, cap=None) -> GrowthParams:
 
 
 def involution(f: LambdaElement) -> LambdaElement:
-    """f((1+T)^(-1) - 1), the effect of inverting the group generator."""
+    """f((1+T)^(-1) - 1), the effect of inverting the group generator.
+
+    Since (1+T)^(-1) - 1 = -T / (1+T), the image of sum c_i T^i has
+    constant term c_0 and T^m coefficient
+    (-1)^m sum_{i=1..m} C(m-1, i-1) c_i, read off a rolling Pascal row
+    in O(K^2) integer operations.
+    """
     if f.t_prec < 2:
         raise TPrecisionError("need T-precision >= 2")
-    p, n, k = f.p, f.coeff_prec, f.t_prec
-    s = LambdaElement(p, [0] + [(-1) ** j for j in range(1, k)], n, k)
-    return compose(f, s)
-
-
-def compose(f: LambdaElement, s: LambdaElement) -> LambdaElement:
-    """f(s(T)) for s with zero constant term."""
-    if s.coeffs[0] != 0:
-        raise ValueError("composition needs s(0) = 0")
-    n, k = f._align(s)
-    p = f.p
-    acc = LambdaElement(p, [], n, k)
-    for c in reversed(f.coeffs[:k]):
-        acc = acc * s + LambdaElement(p, [c], n, k)
-    return acc
+    c = f.coeffs
+    out, row = [c[0]], [1]  # row[i - 1] = C(m-1, i-1)
+    for m in range(1, f.t_prec):
+        s = sum(b * ci for b, ci in zip(row, c[1:]))
+        out.append(-s if m & 1 else s)
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+    return LambdaElement(f.p, out, f.coeff_prec, f.t_prec)
 
 
 def evaluate_Lp(f: LambdaElement, s, kappa_gamma: PadicNumber) -> PadicNumber:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import WeierstrassCurve, count_points
+from .curves import CertificateError, WeierstrassCurve, count_points
 from .padics import PadicNumber, factor, is_prime, legendre, valuation
 
 
@@ -303,50 +303,22 @@ def _extend_j_coeffs(count):
     if len(_J_COEFFS) >= count:
         return
     n = count + 1
-    e4 = [0] * n
-    e4[0] = 1
-    for k in range(1, n):
-        s3 = sum(d ** 3 for d in range(1, k + 1) if k % d == 0)
-        e4[k] = 240 * s3
-    e43 = _series_mul(_series_mul(e4, e4, n), e4, n)
-    eta24 = [0] * n
-    eta24[0] = 1
-    for m in range(1, n):
-        base = [0] * n
-        base[0] = 1
-        if m < n:
-            base[m] = -1
-        piece = base
-        acc = [0] * n
-        acc[0] = 1
-        e = 24
-        while e:
-            if e & 1:
-                acc = _series_mul(acc, piece, n)
-            piece = _series_mul(piece, piece, n)
-            e >>= 1
-        eta24 = _series_mul(eta24, acc, n)
-    inv = _series_invert(eta24, n)
-    _J_COEFFS = _series_mul(e43, inv, n)
+    e4 = [1] + [240 * s for s in _sigma3(n)[1:]]
+    out = [sum(e4[i] * e4[k - i] for i in range(k + 1)) for k in range(n)]
+    out = [sum(out[i] * e4[k - i] for i in range(k + 1)) for k in range(n)]
+    for m in range(1, n):  # divide by (1 - q^m)^24
+        for _ in range(24):
+            for k in range(m, n):
+                out[k] += out[k - m]
+    _J_COEFFS = out
 
 
-def _series_mul(a, b, n):
+def _sigma3(n):
+    """[sigma_3(k) for k < n], with sigma_3(0) = 0."""
     out = [0] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            for j in range(min(len(b), n - i)):
-                if b[j]:
-                    out[i + j] += x * b[j]
-    return out
-
-
-def _series_invert(a, n):
-    assert a[0] in (1, -1)
-    out = [0] * n
-    out[0] = a[0]
-    for k in range(1, n):
-        s = sum(a[i] * out[k - i] for i in range(1, min(k, len(a) - 1) + 1))
-        out[k] = -a[0] * s
+    for d in range(1, n):
+        for m in range(d, n, d):
+            out[m] += d ** 3
     return out
 
 
@@ -359,10 +331,13 @@ def j_expansion_coeff(n: int) -> int:
 def tate_period(E: WeierstrassCurve, ell: int, digits: int = 20) -> PadicNumber:
     """The parameter q with j(q) = j(E), for ord_ell(j) < 0.
 
-    Found by the ell-adically contracting iteration
-    q <- 1 / (j - sum_{n>=0} c_n q^n); the result satisfies
-    v(q) = -ord_ell(j) and is certified by re-substitution to the
-    requested digit count.
+    With c = -ord_ell(j), write q = ell^c Q and j = ell^(-c) J for units
+    Q and J.  The ell-adically contracting iteration
+    q <- 1 / (j - sum_{n>=0} c_n q^n) then runs on plain integers modulo
+    ell^(digits + 2c + 4) as Q <- (J - ell^c sum_n c_n (ell^c Q)^n)^(-1)
+    until Q repeats.
+    Q is certified a unit, and j(q) = j is certified by re-substitution
+    to the requested digit count; either failure raises CertificateError.
     """
     ordj = E.ord_j(ell)
     if ordj is None or ordj >= 0:
@@ -373,26 +348,27 @@ def tate_period(E: WeierstrassCurve, ell: int, digits: int = 20) -> PadicNumber:
     if nterms > _J_CAP:
         raise ValueError("requested precision needs too many q-expansion coefficients")
     _extend_j_coeffs(nterms + 2)
-    jE = PadicNumber.from_rational(ell, E.j, work)
-    q = jE.inverse()
+    J = PadicNumber.from_rational(ell, E.j, work).u
+    mod, lc = ell ** work, ell ** c
+    Q = pow(J, -1, mod)
     for _ in range(work):
-        tail = PadicNumber.zero(ell, work + c)
-        power = PadicNumber.from_rational(ell, 1, work)
-        for n in range(nterms):
-            tail = tail + j_expansion_coeff(n) * power
-            power = power * q
-        q_next = (jE - tail).inverse()
-        if (q_next - q).is_zero:
-            q = q_next
+        x, tail = lc * Q % mod, 0
+        for cn in _J_COEFFS[nterms:0:-1]:  # sum_{n < nterms} c_n x^n by Horner
+            tail = (tail * x + cn) % mod
+        Q, prev = pow((J - lc * tail) % mod, -1, mod), Q
+        if Q == prev:
             break
-        q = q_next
-    assert q.v == c, "Tate period valuation mismatch"
-    jval = q.inverse()
-    power = PadicNumber.from_rational(ell, 1, work)
-    for n in range(nterms):
-        jval = jval + j_expansion_coeff(n) * power
-        power = power * q
-    resid = jval - jE
-    if not resid.is_zero and resid.valuation() < digits:
-        raise AssertionError("re-substitution check failed")
-    return q
+    if Q % ell == 0:
+        raise CertificateError(f"Tate period at {ell} is not {ell}^{c} times a unit")
+    # re-substitute into j = E4^3 / Delta, which reads none of _J_COEFFS:
+    # v(j(q) - j) = v(E4(q)^3 - J Q prod_n (1 - q^n)^24) - c
+    x, sigma3 = lc * Q % mod, _sigma3(nterms)
+    e4, prod, xn = 1, 1, 1
+    for n in range(1, nterms):
+        xn = xn * x % mod
+        e4 = (e4 + 240 * sigma3[n] * xn) % mod
+        prod = prod * (1 - xn) % mod
+    resid = (e4 ** 3 - J * Q * pow(prod, 24, mod)) % mod
+    if resid and valuation(resid, ell) < digits + c:
+        raise CertificateError(f"Tate period at {ell} fails re-substitution to {digits} digits")
+    return PadicNumber(ell, c, Q, work, _checked=True)

@@ -1,4 +1,9 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,10 +21,26 @@ def test_dataset_loads_thirteen_entries():
                       "306b3", "195a2", "1225e1", "1225e2", "58a", "406d1"}
 
 
-def test_dataset_checksum_guards_integrity(monkeypatch):
-    monkeypatch.setattr(ds, "_CHECKSUM", "0" * 64)
-    with pytest.raises(RuntimeError, match="integrity"):
-        ds.dataset_load()
+def test_dataset_checksum_guards_integrity(tmp_path):
+    # the checksum runs once, at import: import a copy of the package
+    # with one annotation changed, and the untouched copy as a control
+    # (no bytecode, which could outlive a same-size edit within a second)
+    shutil.copytree(Path(ds.__file__).parent, tmp_path / "iwasawa",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "iwasawa" / "dataset.py"
+    env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+
+    def import_copy():
+        return subprocess.run([sys.executable, "-c", "import iwasawa.dataset"], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    assert import_copy().returncode == 0
+    text = path.read_text()
+    assert text.count('"tamagawa": {11: 5}') == 1
+    path.write_text(text.replace('"tamagawa": {11: 5}', '"tamagawa": {11: 4}'))
+    proc = import_copy()
+    assert proc.returncode == 1
+    assert "RuntimeError: dataset integrity failure" in proc.stderr
 
 
 def test_annotations_match_computation():
@@ -62,10 +83,7 @@ def test_lookup_hashes_the_dataset_once(monkeypatch):
         ds.lookup(label)
     with pytest.raises(KeyError):
         ds.lookup("37a")
-    assert len(calls) == 4
-    monkeypatch.setattr(ds, "_CHECKSUM", "0" * 64)
-    with pytest.raises(RuntimeError, match="integrity"):
-        ds.lookup("11a")
+    assert calls == []  # checked at import; tampering is test_dataset_checksum_guards_integrity
 
 
 def test_isogeny_edges_declared():
@@ -162,6 +180,38 @@ def test_cli_forge_search_failure_exit_code(tmp_path, capsys, monkeypatch):
     code = main(["forge", "--spec", str(spec)])
     assert code == 1
     assert "error: no curve with a_61 = 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [{"P": [[5.9, 2]]}, {"P": [[5, 2]], "Q": "13"},
+                                  {"L": [[3, True, 2]]}],
+                         ids=["float-prime", "string-Q", "boolean-trace"])
+def test_cli_forge_refuses_malformed_specs(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["forge", "--spec", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_EDGE = {"from": "768d3", "to": "768d1", "degree": 5,
+         "kernel": {"order": 5, "ramified": True, "odd": True, "provenance": "input"}}
+
+
+def test_cli_mu_bound_reads_an_edges_file(tmp_path, capsys):
+    path = tmp_path / "edges.json"
+    path.write_text(json.dumps([_EDGE]))
+    code = main(["--format", "json", "mu-bound", "--curve", "768d3", "--p", "5",
+                 "--edges", str(path)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["mu_lower_bound"] == 1
+
+
+@pytest.mark.parametrize("edge", [dict(_EDGE, **{"from": 1}), dict(_EDGE, degree=True)],
+                         ids=["integer-label", "boolean-degree"])
+def test_cli_mu_bound_refuses_malformed_edges(tmp_path, capsys, edge):
+    path = tmp_path / "edges.json"
+    path.write_text(json.dumps([edge]))
+    assert main(["mu-bound", "--curve", "768d3", "--p", "5", "--edges", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: an isogeny edge needs")
 
 
 def test_cli_mu_bound(capsys):

@@ -9,6 +9,7 @@ from iwasawa.lambda_algebra import (
     INDETERMINATE,
     LambdaElement,
     LambdaModulePresentation,
+    TPrecisionError,
     ZeroAtPrecision,
     associates_check,
     char_ideal,
@@ -28,6 +29,7 @@ from iwasawa.lambda_algebra import (
     weierstrass_prepare,
 )
 from iwasawa.padics import PadicNumber, PrecisionError, valuation
+from padic_oracles import involution as composed_involution
 
 
 def el(p, coeffs, n=30, k=40):
@@ -193,6 +195,22 @@ def test_involution_is_involutive():
         p = rng.choice((2, 3, 5))
         f = el(p, [rng.randrange(-20, 20) for _ in range(4)], 25, 30)
         assert involution(involution(f)) == f
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@pytest.mark.parametrize("k", (1, 2, 3, 10, 40))
+def test_involution_matches_the_composition_oracle(p, k):
+    rng = random.Random(100 * k + p)
+    for n in (1, 5, 30):
+        f = el(p, [rng.randrange(p ** n) for _ in range(k)], n, k)
+        if k < 2:
+            for iota in (involution, composed_involution):
+                with pytest.raises(TPrecisionError):
+                    iota(f)
+            continue
+        got, want = involution(f), composed_involution(f)
+        assert (got.p, got.coeff_prec, got.coeffs) == (want.p, want.coeff_prec, want.coeffs)
+        assert involution(got).coeffs == f.coeffs
 
 
 def test_associates_under_involution():

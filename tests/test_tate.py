@@ -1,11 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from iwasawa.curves import SingularCurveError, WeierstrassCurve, quadratic_twist
-from iwasawa.padics import is_prime, legendre, valuation
+from iwasawa.padics import factor, is_prime, legendre, valuation
 from iwasawa.tate import (
     _cubic_shape,
     _singular_point,
@@ -16,6 +21,7 @@ from iwasawa.tate import (
     tate_local,
     tate_period,
 )
+from padic_oracles import tate_period as padic_tate_period
 
 CURVES = {
     "11a": (0, -1, 1, -10, -20),
@@ -161,6 +167,7 @@ def test_j_expansion_coefficients():
     assert j_expansion_coeff(1) == 196884
     assert j_expansion_coeff(2) == 21493760
     assert j_expansion_coeff(3) == 864299970
+    assert j_expansion_coeff(10) == 22567393309593600
 
 
 def test_tate_period_conductor_11():
@@ -187,6 +194,61 @@ def test_tate_period_at_two():
 def test_tate_period_rejects_potentially_good():
     with pytest.raises(ValueError):
         tate_period(E["32a"], 2)
+
+
+def _period_or_refusal(period, curve, ell, digits):
+    try:
+        q = period(curve, ell, digits)
+    except ValueError as e:
+        return "refused", str(e)
+    return q.v, q.u, q.n
+
+
+def test_tate_period_matches_the_padic_oracle():
+    # every dataset curve and 150 seeded random ones, at every prime of
+    # the discriminant: a period where ord(j) < 0, the same refusal elsewhere
+    rng = random.Random(2026)
+    curves = list(E.values())
+    while len(curves) < len(E) + 150:
+        try:
+            curves.append(WeierstrassCurve(*(rng.randint(-10, 10) for _ in range(5))))
+        except SingularCurveError:
+            pass
+    periods = 0
+    for curve in curves:
+        for ell in factor(curve.disc):
+            for digits in (12, 16, 30):
+                got = _period_or_refusal(tate_period, curve, ell, digits)
+                assert got == _period_or_refusal(padic_tate_period, curve, ell, digits), \
+                    (curve.ainvs(), ell, digits)
+                periods += got[0] != "refused"
+    assert periods > 900
+    too_long = _period_or_refusal(tate_period, E["11a"], 11, 2000)
+    assert too_long[0] == "refused"
+    assert too_long == _period_or_refusal(padic_tate_period, E["11a"], 11, 2000)
+
+
+_CORRUPT_UNDER_O = textwrap.dedent("""
+    from iwasawa import tate
+    from iwasawa.curves import CertificateError, WeierstrassCurve
+
+    assert False, "asserts must be off"
+    E11 = WeierstrassCurve(0, -1, 1, -10, -20)
+    tate.tate_period(E11, 11, digits=10)  # fills the q-expansion table
+    tate._J_COEFFS[2] += 1                # c_1 = 196884 becomes 196885
+    try:
+        tate.tate_period(E11, 11, digits=10)
+    except CertificateError as e:
+        print("refused:", e)
+""")
+
+
+def test_tate_period_certificate_raises_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: Tate period at 11 fails re-substitution")
 
 
 def test_conductor_exponent_additive_at_least_two():
