@@ -6,20 +6,33 @@ periods (curve arithmetic and local data), selmer (Euler characteristics
 and the vanishing/infinitude criteria), mu (kernel classification and
 mu-bounds), nfpoints (number-field point checks), forge (prescribed
 local behavior), dataset and cli.
+
+The names below are imported from their home modules on first access
+(PEP 562), so a process loads only the modules it uses.
 """
 
-from .curves import WeierstrassCurve, ap_count, classify_at_p, quadratic_twist, torsion
-from .lambda_algebra import LambdaElement, growth_fit, mu_lambda, weierstrass_prepare
-from .padics import PadicNumber, iwasawa_log, unit_decompose
-from .periods import real_period
-from .selmer import GlobalAssumptions, euler_char, twist_lambda
-from .tate import LocalData, conductor, tate_local, tate_period
+from importlib import import_module
 
-__all__ = [
-    "WeierstrassCurve", "ap_count", "classify_at_p", "quadratic_twist",
-    "torsion", "LambdaElement", "growth_fit", "mu_lambda",
-    "weierstrass_prepare", "PadicNumber", "iwasawa_log", "unit_decompose",
-    "real_period", "GlobalAssumptions", "euler_char", "twist_lambda",
-    "LocalData", "conductor", "tate_local", "tate_period",
-]
+#: exported name -> the submodule that defines it
+_HOME = {
+    "WeierstrassCurve": "curves", "ap_count": "curves", "classify_at_p": "curves",
+    "quadratic_twist": "curves", "torsion": "curves",
+    "LambdaElement": "lambda_algebra", "growth_fit": "lambda_algebra",
+    "mu_lambda": "lambda_algebra", "weierstrass_prepare": "lambda_algebra",
+    "PadicNumber": "padics", "iwasawa_log": "padics", "unit_decompose": "padics",
+    "real_period": "periods",
+    "GlobalAssumptions": "selmer", "euler_char": "selmer", "twist_lambda": "selmer",
+    "LocalData": "tate", "conductor": "tate", "tate_local": "tate", "tate_period": "tate",
+}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value

@@ -3,6 +3,7 @@
 Subcommands: analyze, euler-char, criteria, mu-bound, growth, fe, forge,
 verify-points, tables.  Exit codes: 0 all checks matched, 2 a computed
 value contradicted an expected one, 1 usage or computation error.
+Each subcommand imports the modules it needs when it runs.
 """
 
 from __future__ import annotations
@@ -10,28 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-
-from . import dataset as ds
-from . import lambda_algebra as la
-from .curves import WeierstrassCurve, torsion
-from .forge import ForgeSpec, crt_assemble
-from .mu import (IsogenyEdge, KernelClass, _rational_two_torsion_points,
-                 classify_two_torsion, mu_lower_bound)
-from .nfpoints import verify_paper_points
-from .padics import valuation
-from .periods import real_period
-from .selmer import (
-    EulerCharError,
-    GlobalAssumptions,
-    criterion_infinite,
-    criterion_vanishing,
-    euler_char,
-)
-from .tate import bad_primes, conductor, tate_local
 
 
 def _load_curve(args):
+    from . import dataset as ds
+    from .curves import WeierstrassCurve
     if args.ainvs:
         a = json.loads(args.ainvs)
         if isinstance(a, dict):  # curve JSON object form
@@ -54,6 +38,7 @@ def _ainvs(values):
 
 def _edges(path):
     """IsogenyEdges from the --edges file (the format is in the README)."""
+    from .mu import IsogenyEdge, KernelClass
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, list):
@@ -112,12 +97,19 @@ def _emit_text(payload, indent=0):
 
 def _sel_vp(args):
     """v_p of the --sel-order input, which must be a positive integer."""
+    from .padics import valuation
     if args.sel_order < 1:
         raise ValueError(f"--sel-order must be a positive integer, got {args.sel_order}")
     return valuation(args.sel_order, args.p)
 
 
 def cmd_analyze(args):
+    from . import dataset as ds
+    from .curves import torsion
+    from .mu import mu_lower_bound
+    from .selmer import (EulerCharError, GlobalAssumptions, criterion_infinite,
+                         criterion_vanishing, euler_char)
+    from .tate import bad_primes, conductor, tate_local
     label, E, ann = _load_curve(args)
     p = args.p
     report = {"label": label, "ainvs": list(E.ainvs()), "disc": E.disc,
@@ -175,6 +167,7 @@ def cmd_analyze(args):
 
 
 def cmd_euler(args):
+    from .selmer import GlobalAssumptions, euler_char
     label, E, ann = _load_curve(args)
     rep = euler_char(E, args.p, GlobalAssumptions(sel_vp=_sel_vp(args)),
                      digits=args.precision_digits)
@@ -188,6 +181,7 @@ def cmd_euler(args):
 
 
 def cmd_criteria(args):
+    from .selmer import GlobalAssumptions, criterion_infinite, criterion_vanishing
     label, E, _ = _load_curve(args)
     A = GlobalAssumptions(sel_vp=_sel_vp(args))
     van = criterion_vanishing(E, args.p, A)
@@ -200,6 +194,8 @@ def cmd_criteria(args):
 
 
 def cmd_mu_bound(args):
+    from . import dataset as ds
+    from .mu import _rational_two_torsion_points, classify_two_torsion, mu_lower_bound
     label, E, _ = _load_curve(args)
     edges = ds.isogeny_edges(label) + (_edges(args.edges) if args.edges else [])
     v = mu_lower_bound(label, args.p, edges, curves={label: E})
@@ -218,6 +214,7 @@ def cmd_mu_bound(args):
 
 
 def cmd_growth(args):
+    from . import lambda_algebra as la
     f = la.LambdaElement.from_text(args.f, args.precision_digits, args.t_precision)
     g = la.growth_fit(f, args.n_max)
     _emit({"f": f.to_text(), "lambda": g.lam, "mu": g.mu, "nu": g.nu,
@@ -227,16 +224,17 @@ def cmd_growth(args):
 
 
 def cmd_fe(args):
+    from . import lambda_algebra as la
     f = la.LambdaElement.from_text(args.f, args.precision_digits, args.t_precision)
     res = la.fe_solve(f)
-    sym = la.associates_check(f, la.involution(f))
     if res is la.INDETERMINATE:
         payload = {"f": f.to_text(), "verdict": "indeterminate"}
     elif res is None:
-        payload = {"f": f.to_text(), "verdict": "no solution", "iota_associate": sym}
-    else:
+        payload = {"f": f.to_text(), "verdict": "no solution",
+                   "iota_associate": la.associates_check(f, la.involution(f))}
+    else:  # fe_solve solves only after associates_check's mu and d match, at its precision
         w, c = res
-        payload = {"f": f.to_text(), "w": w, "c": _small_lift(c), "iota_associate": sym}
+        payload = {"f": f.to_text(), "w": w, "c": _small_lift(c), "iota_associate": True}
     _emit(payload, args)
     return 0
 
@@ -254,6 +252,7 @@ def _small_lift(c):
 
 
 def cmd_forge(args):
+    from .forge import ForgeSpec, crt_assemble
     with open(args.spec) as fh:
         spec = ForgeSpec.from_dict(json.load(fh))
     res = crt_assemble(spec, seed=args.seed)
@@ -264,12 +263,21 @@ def cmd_forge(args):
 
 
 def cmd_verify_points(args):
+    from .nfpoints import verify_paper_points
     results = verify_paper_points()
     _emit({"scenarios": [{"name": n, "pass": ok} for n, ok in results]}, args)
     return 0 if all(ok for _, ok in results) else 2
 
 
 def cmd_tables(args):
+    from fractions import Fraction
+
+    from . import dataset as ds
+    from .curves import torsion
+    from .padics import valuation
+    from .periods import real_period
+    from .selmer import EulerCharError, GlobalAssumptions, euler_char
+    from .tate import conductor, tate_local
     extra = _extra_curves(args)
     rows = []
     exit_code = 0

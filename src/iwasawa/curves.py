@@ -23,10 +23,15 @@ class CertificateError(ArithmeticError):
 
 
 class WeierstrassCurve:
-    """Integral long Weierstrass model [a1, a2, a3, a4, a6]."""
+    """Integral long Weierstrass model [a1, a2, a3, a4, a6].
+
+    `_memo` (None until first used) keeps what `torsion`, `tate.bad_primes`
+    and `tate.tate_local` computed for this object: the torsion group, the
+    bad-prime tuple and the LocalData of bad primes, never of good ones.
+    """
 
     __slots__ = ("a1", "a2", "a3", "a4", "a6", "b2", "b4", "b6", "b8",
-                 "c4", "c6", "disc")
+                 "c4", "c6", "disc", "_memo")
 
     def __init__(self, a1, a2, a3, a4, a6):
         for a in (a1, a2, a3, a4, a6):
@@ -45,6 +50,17 @@ class WeierstrassCurve:
             raise SingularCurveError(f"singular model {self.ainvs()}")
         assert self.c4 ** 3 - self.c6 ** 2 == 1728 * self.disc
         assert 4 * self.b8 == self.b2 * self.b6 - self.b4 ** 2
+        self._memo = None
+
+    def _recall(self, key):
+        """The value `_remember` kept under key, or None."""
+        return self._memo.get(key) if self._memo else None
+
+    def _remember(self, key, value):
+        if self._memo is None:
+            self._memo = {}
+        self._memo[key] = value
+        return value
 
     def ainvs(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
@@ -249,6 +265,12 @@ class TorsionGroup:
 
 
 def torsion(E: WeierstrassCurve) -> TorsionGroup:
+    """Exact rational torsion (`_torsion_group`), once per curve object."""
+    T = E._recall("torsion")
+    return E._remember("torsion", _torsion_group(E)) if T is None else T
+
+
+def _torsion_group(E):
     """Exact rational torsion by lifting the points of one good prime.
 
     The order divides the gcd B of |E~(F_p)| over three good primes >= 5

@@ -5,7 +5,9 @@ Annotations are data, never recomputed: expected Tamagawa numbers,
 torsion structure, Euler-characteristic valuations, reported analytic
 invariants, predicted Selmer orders, and declared isogeny-kernel
 classifications.  Each annotation carries a descriptive source string.
-The table is integrity-checked by its checksum once, at import.
+The table is integrity-checked by its checksum once, at import.  Importing
+it loads none of the arithmetic modules: `DatasetEntry.curve()` and
+`isogeny_edges()` import `curves` and `mu` when they are called.
 """
 
 from __future__ import annotations
@@ -13,9 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-
-from .curves import WeierstrassCurve
-from .mu import IsogenyEdge, KernelClass
 
 
 @dataclass(frozen=True)
@@ -26,6 +25,7 @@ class DatasetEntry:
     source: str = ""
 
     def curve(self) -> WeierstrassCurve:
+        from .curves import WeierstrassCurve
         return WeierstrassCurve(*self.ainvs)
 
 
@@ -202,6 +202,7 @@ def lookup(label: str, extra: dict | None = None) -> DatasetEntry:
 
 def isogeny_edges(label: str):
     """Declared odd-degree kernel classifications for a curve, as edges."""
+    from .mu import IsogenyEdge, KernelClass
     try:
         entry = lookup(label)
     except KeyError:

@@ -2,7 +2,8 @@
 
 tate_local runs the full algorithm (with ell-minimalization) and reports
 the reduction kind, Kodaira symbol, Tamagawa number, conductor exponent
-and the transformation to the ell-minimal model.  tate_period inverts
+and the transformation to the ell-minimal model; its checks raise
+CertificateError, so they hold under -O.  tate_period inverts
 j(q) = 1/q + 744 + 196884 q + ... at a multiplicative prime.
 """
 
@@ -116,7 +117,7 @@ def _singular_point(E: WeierstrassCurve, ell):
                 fy = 2 * y + a1 * x + a3
                 if f % ell == 0 and fx % ell == 0 and fy % ell == 0:
                     return x, y
-        raise AssertionError("no singular point found")
+        raise CertificateError(f"no singular point mod {ell} although {ell} | disc")
     # ell >= 5: on the model Y^2 = X^3 - 27 c4 X - 54 c6 the singular point
     # is (X0, 0) with X0 the double root -3 c6 / c4 (triple root 0 if ell | c4)
     X0 = 0 if E.c4 % ell == 0 else -3 * E.c6 * pow(E.c4, -1, ell)
@@ -129,9 +130,19 @@ _COMPONENTS = {"I0": 1, "II": 1, "III": 2, "IV": 3, "I0*": 5, "IV*": 7, "III*": 
 
 
 def tate_local(E: WeierstrassCurve, ell: int) -> LocalData:
-    """Kodaira type, Tamagawa number and friends at ell, minimalizing first."""
+    """Kodaira type, Tamagawa number and friends at ell, minimalizing first.
+    Kept on E at a bad prime (`WeierstrassCurve._memo`), never at a good one."""
+    loc = E._recall(ell)
+    if loc is not None:
+        return loc
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
+    loc = _tate_algorithm(E, ell)
+    return loc if loc.kind == "good" else E._remember(ell, loc)
+
+
+def _tate_algorithm(E, ell):
+    """tate_local's answer, computed afresh."""
     cur = E
     u_tot, r_tot, s_tot, t_tot = 1, 0, 0, 0
 
@@ -182,8 +193,8 @@ def tate_local(E: WeierstrassCurve, ell: int) -> LocalData:
             a3_now = cur.a3
             apply(t=(-a3_now * pow(2, -1, ell ** 2)) % ell ** 2)
         a1, a2, a3, a4, a6 = cur.ainvs()
-        assert all(v % ell ** k == 0 for v, k in
-                   ((a1, 1), (a2, 1), (a3, 2), (a4, 2), (a6, 3)))
+        if any(v % ell ** k for v, k in ((a1, 1), (a2, 1), (a3, 2), (a4, 2), (a6, 3))):
+            raise CertificateError(f"the model at {ell} is not arranged for the cubic step")
         # cubic P(T) = T^3 + (a2/l) T^2 + (a4/l^2) T + a6/l^3 over F_ell
         pc = [(a6 // ell ** 3) % ell, (a4 // ell ** 2) % ell, (a2 // ell) % ell]
         maxmult, alpha = _cubic_shape(*pc, ell)
@@ -266,21 +277,25 @@ def _finish(E_orig, cur, ell, kind, c, kodaira, vD, transform):
         f = 1
     else:
         f = vD + 1 - m
-    assert f >= 2 or kind != "additive"
-    if kind == "additive":
-        assert c <= 4, "additive Tamagawa number out of range"
-    if kind == "multiplicative_split":
-        assert ordj is not None and c == -ordj
-    if kind == "multiplicative_nonsplit":
-        assert c == (1 if ordj % 2 else 2)
+    if kind == "additive" and not (f >= 2 and c <= 4):
+        raise CertificateError(f"additive type {kodaira} at {ell} with f = {f} and c = {c}")
+    if kind == "multiplicative_split" and (ordj is None or c != -ordj):
+        raise CertificateError(f"split Tamagawa number {c} at {ell} is not -ord(j) = {ordj}")
+    if kind == "multiplicative_nonsplit" and c != (1 if ordj % 2 else 2):
+        raise CertificateError(f"nonsplit Tamagawa number {c} at {ell} disagrees with ord(j)")
     return LocalData(prime=ell, kind=kind, tamagawa=c, kodaira=kodaira,
                      ord_disc_min=vD, ord_j=ordj, conductor_exponent=f,
                      minimal_ainvs=cur.ainvs(), u=u, r=r, s=s, t=t, **data)
 
 
 def bad_primes(E: WeierstrassCurve):
-    """Primes of bad reduction (where the minimal discriminant vanishes), ascending."""
-    return [ell for ell in factor(E.disc) if tate_local(E, ell).kind != "good"]
+    """Primes of bad reduction (where the minimal discriminant vanishes),
+    ascending: a new list each call, from the tuple kept on E."""
+    bad = E._recall("bad_primes")
+    if bad is None:
+        bad = E._remember("bad_primes", tuple(
+            ell for ell in factor(E.disc) if tate_local(E, ell).kind != "good"))
+    return list(bad)
 
 
 def conductor(E: WeierstrassCurve) -> int:

@@ -43,6 +43,51 @@ def test_dataset_checksum_guards_integrity(tmp_path):
     assert "RuntimeError: dataset integrity failure" in proc.stderr
 
 
+
+def _run_python(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+ARITHMETIC = ("curves", "tate", "selmer", "mu", "lambda_algebra")
+
+
+def test_loading_the_dataset_imports_no_arithmetic():
+    out = _run_python("-c", "import sys, iwasawa; from iwasawa import dataset; "
+                      "dataset.dataset_load(); print(sorted(sys.modules))").stdout
+    assert not [m for m in ARITHMETIC if f"'iwasawa.{m}'" in out]
+    assert "'iwasawa.dataset'" in out
+
+
+def test_star_import_binds_each_name_from_its_home_module():
+    out = _run_python("-c", """if True:
+        import importlib
+        import iwasawa
+        from iwasawa import *
+        for name, home in iwasawa._HOME.items():
+            assert globals()[name] is getattr(importlib.import_module("iwasawa." + home), name)
+        assert sorted(iwasawa.__all__) == sorted(iwasawa._HOME)
+        print(len(iwasawa.__all__))""")
+    assert out.stdout.split() == ["20"]
+
+
+def test_growth_command_loads_no_curve_module():
+    proc = _run_python("-X", "importtime", "-m", "iwasawa", "growth", "p=3 coeffs=[3,3,1]")
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "lambda0: 2" in proc.stdout and "iwasawa.lambda_algebra" in loaded
+    assert not loaded & {"iwasawa.curves", "iwasawa.tate"}
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    import iwasawa
+    with pytest.raises(AttributeError, match="no_such_name"):
+        iwasawa.no_such_name
+
+
 def test_annotations_match_computation():
     # CI-style gate: exact computed quantities must agree with every
     # stated annotation

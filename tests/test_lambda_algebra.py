@@ -1,10 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from iwasawa import lambda_algebra as la
-from iwasawa.cli import main
+from iwasawa.cli import _small_lift, main
 from iwasawa.lambda_algebra import (
     INDETERMINATE,
     LambdaElement,
@@ -257,6 +258,65 @@ def test_fe_solutions():
 
 def test_fe_no_solution():
     assert fe_solve(el(3, [-3, 1])) is None
+
+
+def _fe_with_both_checks(text):
+    """`iwasawa fe`'s JSON as it reads when associates_check runs on every input."""
+    f = LambdaElement.from_text(text, 30, 40)
+    res = fe_solve(f)
+    payload = {"f": f.to_text(), "verdict": "indeterminate"}
+    if res is not INDETERMINATE:
+        sym = associates_check(f, involution(f))
+        payload = ({"f": f.to_text(), "verdict": "no solution", "iota_associate": sym}
+                   if res is None else
+                   {"f": f.to_text(), "w": res[0], "c": _small_lift(res[1]), "iota_associate": sym})
+    return json.loads(json.dumps(payload, default=str))
+
+
+def _fe_json(capsys, text):
+    assert main(["--format", "json", "fe", text]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _fe_inputs(n, seed):
+    """n seeded series: half random, half g * iota(g) * T^e * (1+T)^k, which solve."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        p = rng.choice((2, 3, 5, 7))
+        g = el(p, [rng.randint(-p * p, p * p) for _ in range(rng.randint(1, 4))] + [1])
+        if i % 2:
+            g = g * involution(g)
+            for factor in [el(p, [0, 1])] * rng.randint(0, 1) + [el(p, [1, 1])] * rng.randint(0, 2):
+                g = g * factor
+        out.append(g.to_text())
+    return out
+
+
+FE_EDGES = ("p=3 coeffs=[3,3,1]", "p=3 coeffs=[-3,1]",
+            "p=3 K=40 coeffs=[" + ",".join(["0"] * 25 + ["1"]) + "]")
+
+
+def test_fe_output_as_with_both_checks(capsys):
+    verdicts = []
+    for text in _fe_inputs(64, seed=9) + list(FE_EDGES):
+        got = _fe_json(capsys, text)
+        assert got == _fe_with_both_checks(text), text
+        verdicts.append(got.get("verdict", "solved"))
+    assert verdicts[-3:] == ["solved", "no solution", "indeterminate"]
+    assert verdicts.count("solved") >= 30 and verdicts.count("no solution") >= 10
+
+
+def test_fe_prepares_twice_when_solved(monkeypatch, capsys):
+    calls = []
+    real = la.weierstrass_prepare
+    monkeypatch.setattr(la, "weierstrass_prepare", lambda f: calls.append(f) or real(f))
+    for text in _fe_inputs(10, seed=9)[1::2] + [FE_EDGES[0]]:
+        calls.clear()
+        assert "w" in _fe_json(capsys, text)
+        assert len(calls) == 2
+    calls.clear()
+    assert _fe_json(capsys, FE_EDGES[1])["iota_associate"] is False and len(calls) == 4
 
 
 # -- presentations ---------------------------------------------------------------

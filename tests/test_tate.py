@@ -9,9 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from iwasawa.curves import SingularCurveError, WeierstrassCurve, quadratic_twist
-from iwasawa.padics import factor, is_prime, legendre, valuation
+from iwasawa import tate
+from iwasawa.cli import main
+from iwasawa.curves import SingularCurveError, WeierstrassCurve, quadratic_twist, torsion
+from iwasawa.dataset import dataset_extras, dataset_load
+from iwasawa.padics import FactorizationError, factor, is_prime, legendre, valuation
 from iwasawa.tate import (
+    LocalData,
     _cubic_shape,
     _singular_point,
     bad_primes,
@@ -22,6 +26,7 @@ from iwasawa.tate import (
     tate_period,
 )
 from padic_oracles import tate_period as padic_tate_period
+from torsion_oracle import lutz_nagell_torsion
 
 CURVES = {
     "11a": (0, -1, 1, -10, -20),
@@ -323,3 +328,105 @@ def test_additive_at_a_large_twisting_prime(d):
     # the cubic's discriminant is -11^5 times a square: one root exactly
     # when -11 is a nonresidue mod d, else none or three
     assert loc.tamagawa in ((2,) if legendre(-11, d) == -1 else (1, 4))
+
+
+# -- local data kept on the curve object ----------------------------------
+
+
+def _random_curves(n, seed):
+    """n seeded nonsingular curves, |a_i| <= h with h drawn from 10..10^4."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        h = 10 ** rng.randint(1, 4)
+        try:
+            out.append(WeierstrassCurve(*(rng.randint(-h, h) for _ in range(5))))
+        except SingularCurveError:
+            pass
+    return out
+
+
+def test_memoized_local_data_matches_fresh_curves(monkeypatch):
+    factored = {}
+
+    def factor_once(n):  # the fresh curves below refactor the same discriminants
+        if n not in factored:
+            factored[n] = factor(n)
+        return factored[n]
+    monkeypatch.setattr(tate, "factor", factor_once)
+    dataset = [e.curve() for e in dataset_load() + dataset_extras()]
+    checked = 0
+    for E1 in dataset + _random_curves(200, seed=10):
+        a = E1.ainvs()
+        try:
+            bad = bad_primes(WeierstrassCurve(*a))
+        except FactorizationError:
+            continue
+        good, p = [], 2
+        while len(good) < 10:
+            if is_prime(p) and p not in bad:
+                good.append(p)
+            p += 1
+        for _ in range(3):
+            assert torsion(E1) == torsion(WeierstrassCurve(*a))
+            assert bad_primes(E1) == bad_primes(WeierstrassCurve(*a)) == bad
+            assert conductor(E1) == conductor(WeierstrassCurve(*a))
+            for ell in bad + good:
+                assert tate_local(E1, ell) == tate_local(WeierstrassCurve(*a), ell)
+        assert torsion(E1) == lutz_nagell_torsion(WeierstrassCurve(*a))
+        checked += 1
+    assert checked >= len(dataset) + 195
+
+
+def test_memo_holds_only_torsion_bad_primes_and_their_local_data():
+    E915 = WeierstrassCurve(*CURVES["915a1"])
+    assert E915._memo is None
+    torsion(E915)
+    bad = bad_primes(E915)
+    for ell in (q for q in range(2, 2000) if is_prime(q)):
+        tate_local(E915, ell)
+    assert set(E915._memo) == {"torsion", "bad_primes", *bad} and bad == [3, 5, 61]
+    assert all(isinstance(E915._memo[ell], LocalData) and E915._memo[ell].kind != "good"
+               for ell in bad)
+
+
+def test_bad_primes_hands_out_a_new_list():
+    E915 = WeierstrassCurve(*CURVES["915a1"])
+    got = bad_primes(E915)
+    got.append(7)
+    got.remove(3)
+    assert bad_primes(E915) == [3, 5, 61]
+    assert bad_primes(E915) is not bad_primes(E915)
+
+
+def test_tables_runs_tate_algorithm_once_per_curve_and_prime(monkeypatch, capsys):
+    runs = []
+    real = tate._tate_algorithm
+    monkeypatch.setattr(tate, "_tate_algorithm", lambda E, ell: runs.append(ell) or real(E, ell))
+    main(["--format", "json", "tables"])
+    capsys.readouterr()
+    assert 0 < len(runs) <= 43
+
+
+_CORRUPT_TYPE_II_UNDER_O = textwrap.dedent("""
+    from iwasawa import tate
+    from iwasawa.curves import CertificateError, WeierstrassCurve
+
+    assert False, "asserts must be off"
+    E = WeierstrassCurve(0, 0, 0, 0, 5)
+    tate._COMPONENTS["II"] = 2    # conductor exponent at 5 becomes 2 + 1 - 2 = 1
+    try:
+        print("answered:", tate.tate_local(E, 5))
+    except CertificateError as e:
+        print("refused:", e)
+    print("memo:", E._memo)
+""")
+
+
+def test_tate_checks_raise_under_python_O_and_keep_nothing():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_TYPE_II_UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "refused: additive type II at 5 with f = 1 and c = 1", "memo: None"]
