@@ -106,10 +106,11 @@ def deuring_search(p: int, a_target: int, seed: int = 0):
     seed and memory stays O(p).  A draw with trace -a_target is paired
     with its quadratic twist by the least nonresidue d, which has trace
     a_target; this halves the expected number of point counts.  Each
-    count is O(p) and about sqrt(p) draws are expected, so a search
-    near SEARCH_PRIME_BOUND costs O(p^1.5), from a few seconds to about
-    half a minute at p = 10^5.  After 40 p nonsingular draws ForgeError
-    is raised.
+    `count_points` is O(p) and about sqrt(p) draws are expected, so a
+    search near SEARCH_PRIME_BOUND costs O(p^1.5): five searches at
+    p = 99971..99991 made 145 to 696 counts of about 20 ms each and took
+    3.5 to 14.5 s (2 vCPUs, Intel Xeon, CPython 3.11).  After 40 p
+    nonsingular draws ForgeError is raised.
     Returns integer a-invariants in [0, p).
     """
     if a_target * a_target >= 4 * p:

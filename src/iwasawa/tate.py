@@ -261,6 +261,8 @@ def _finish(E_orig, cur, ell, kind, c, kodaira, vD, transform):
     if kodaira == "I0":
         m = 1
         ap = ell + 1 - count_points(cur, ell)
+        if ap * ap >= 4 * ell:
+            raise CertificateError(f"a_{ell} = {ap} violates the Hasse bound")
         data = dict(a_ell=ap, ordinary=ap % ell != 0,
                     supersingular=ap % ell == 0, anomalous=ap % ell == 1)
     else:

@@ -18,8 +18,10 @@ from iwasawa.curves import (
     quadratic_twist,
     torsion,
 )
+from iwasawa.dataset import dataset_load
 from iwasawa.padics import is_prime, valuation
-from torsion_oracle import point_order
+from iwasawa.tate import tate_local
+from torsion_oracle import long_model_count, point_order
 
 E11 = WeierstrassCurve(0, -1, 1, -10, -20)
 E32 = WeierstrassCurve(0, 0, 0, 4, 0)
@@ -56,6 +58,20 @@ def test_b8_identity_random():
             continue
         assert 4 * E.b8 == E.b2 * E.b6 - E.b4 ** 2
         assert E.c4 ** 3 - E.c6 ** 2 == 1728 * E.disc
+
+
+def test_invariant_identities_random():
+    # c4^3 - c6^2 = 1728 disc and 4 b8 = b2 b6 - b4^2 hold as polynomial
+    # identities, so WeierstrassCurve does not check them on construction
+    rng = random.Random(160)
+    for k in range(200):
+        h = (10, 10 ** 6, 10 ** 160)[k % 3]
+        try:
+            E = WeierstrassCurve(*(rng.randint(-h, h) for _ in range(5)))
+        except SingularCurveError:
+            continue
+        assert E.c4 ** 3 - E.c6 ** 2 == 1728 * E.disc
+        assert 4 * E.b8 == E.b2 * E.b6 - E.b4 ** 2
 
 
 def test_ap_paper_values():
@@ -103,6 +119,81 @@ def test_count_small_primes_directly():
                             if (y * y + E.a1 * x * y + E.a3 * y
                                 - (x ** 3 + E.a2 * x * x + E.a4 * x + E.a6)) % p == 0)
             assert count_points(E, p) == brute
+
+
+PRIMES_BELOW_2000 = [p for p in range(2, 2000) if is_prime(p)]
+
+
+def test_count_points_matches_long_model_on_dataset():
+    for entry in dataset_load():
+        E = entry.curve()
+        for p in PRIMES_BELOW_2000:
+            if E.disc % p:
+                assert count_points(E, p) == long_model_count(E, p), (entry.label, p)
+
+
+def test_count_points_matches_long_model_on_random_curves():
+    # a third are u-scaled models with odd a1 and a3, not minimal at u = 3 or 5
+    rng = random.Random(300)
+    primes = [p for p in PRIMES_BELOW_2000 if p < 500]
+    done = 0
+    while done < 300:
+        if done % 3:
+            a = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(5)]
+        else:
+            u = rng.choice((3, 5))
+            a = [rng.randrange(-9, 10, 2), rng.randint(-9, 9), rng.randrange(-9, 10, 2),
+                 rng.randint(-9, 9), rng.randint(-9, 9)]
+            a = [ai * u ** i for ai, i in zip(a, (1, 2, 3, 4, 6))]
+        try:
+            E = WeierstrassCurve(*a)
+        except SingularCurveError:
+            continue
+        good = [p for p in primes if E.disc % p]
+        for p in rng.sample(good, 5):
+            assert count_points(E, p) == long_model_count(E, p), (a, p)
+        done += 1
+
+
+def test_count_points_matches_long_model_at_large_primes():
+    rng = random.Random(5)
+    curves = [entry.curve() for entry in dataset_load()]
+    primes = [99991]
+    while len(primes) < 10:
+        p = rng.randrange(2 * 10 ** 4, 10 ** 5)
+        if is_prime(p):
+            primes.append(p)
+    for k, p in enumerate(primes):
+        E = curves[k % len(curves)]
+        assert count_points(E, p) == long_model_count(E, p), (E, p)
+
+
+def test_count_points_matches_long_model_at_j_0_and_1728():
+    # A = 0 (j = 0) or B = 0 (j = 1728) on the short model, for every p
+    curves = [WeierstrassCurve(*a) for a in ((0, 0, 0, 0, 1), (0, 0, 0, 0, -432), (0, 0, 1, 0, 0),
+                                             (0, 0, 1, 0, -7), (0, 0, 0, 1, 0), (0, 0, 0, -11, 0),
+                                             (0, 0, 0, 4, 0))]
+    for E in curves:
+        for p in (q for q in PRIMES_BELOW_2000 if q < 300):
+            if E.disc % p:
+                assert count_points(E, p) == long_model_count(E, p), (E, p)
+
+
+def test_count_points_every_short_model_mod_small_primes():
+    for p in (5, 7, 11):
+        for A in range(p):
+            for B in range(p):
+                if (4 * A ** 3 + 27 * B ** 2) % p:
+                    E = WeierstrassCurve(0, 0, 0, A, B)
+                    assert count_points(E, p) == long_model_count(E, p), (A, B, p)
+
+
+def test_count_points_refuses_past_the_bound():
+    # 99991, the largest prime it counts, is in the large-prime test above
+    with pytest.raises(ValueError, match="exceeds the naive counting bound"):
+        count_points(E11, 100003)
+    with pytest.raises(ValueError, match="exceeds the naive counting bound"):
+        tate_local(E11, 100003)
 
 
 def test_classification():

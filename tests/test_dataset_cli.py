@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -283,6 +284,13 @@ def test_cli_rejects_bad_curve_input(argv, capsys):
     # no curve, four a-invariants and a non-integer a4 used to raise
     # AttributeError, raise TypeError and truncate a4 to 1
     assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_refuses_a_good_prime_past_the_counting_bound(capsys):
+    start = time.perf_counter()
+    assert main(["criteria", "--curve", "11a", "--p", str(10 ** 9 + 7)]) == 1
+    assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith("error: ")
 
 

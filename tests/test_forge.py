@@ -1,5 +1,7 @@
+import json
 import random
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -27,6 +29,16 @@ def test_deuring_examples():
     assert count_points(WeierstrassCurve(*a7), 7) == 7
     with pytest.raises(ValueError):
         deuring_search(5, 5)
+
+
+def test_deuring_answers_pinned():
+    # (p, a*, seed, A, B), found when count_points was the long-model loop
+    # kept as `long_model_count`: the seeded draws and the counts are the
+    # same, so the answers must be too
+    pins = json.loads((Path(__file__).parent / "deuring_pins.json").read_text())
+    assert len(pins) == 200
+    for p, a, seed, A, B in pins:
+        assert deuring_search(p, a, seed) == (0, 0, 0, A, B), (p, a, seed)
 
 
 def test_deuring_deterministic_and_correct():

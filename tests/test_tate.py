@@ -11,7 +11,13 @@ import pytest
 
 from iwasawa import tate
 from iwasawa.cli import main
-from iwasawa.curves import SingularCurveError, WeierstrassCurve, quadratic_twist, torsion
+from iwasawa.curves import (
+    CertificateError,
+    SingularCurveError,
+    WeierstrassCurve,
+    quadratic_twist,
+    torsion,
+)
 from iwasawa.dataset import dataset_extras, dataset_load
 from iwasawa.padics import FactorizationError, factor, is_prime, legendre, valuation
 from iwasawa.tate import (
@@ -430,3 +436,27 @@ def test_tate_checks_raise_under_python_O_and_keep_nothing():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "refused: additive type II at 5 with f = 1 and c = 1", "memo: None"]
+
+
+_BREAK_HASSE_UNDER_O = textwrap.dedent("""
+    from iwasawa import tate
+    from iwasawa.curves import CertificateError, WeierstrassCurve
+
+    assert False, "asserts must be off"
+    tate.count_points = lambda E, p: 0    # a_7 = 8, and 8^2 >= 4 * 7
+    try:
+        print("answered:", tate.tate_local(WeierstrassCurve(0, -1, 1, -10, -20), 7))
+    except CertificateError as e:
+        print("refused:", e)
+""")
+
+
+def test_good_prime_count_is_hasse_checked(monkeypatch):
+    monkeypatch.setattr(tate, "count_points", lambda E, p: 0)
+    with pytest.raises(CertificateError, match="a_7 = 8 violates the Hasse bound"):
+        tate_local(WeierstrassCurve(*CURVES["11a"]), 7)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", _BREAK_HASSE_UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["refused: a_7 = 8 violates the Hasse bound"]

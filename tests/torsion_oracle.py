@@ -4,6 +4,9 @@ It factors the discriminant and tries every y with y^2 | 2^8 3^12 disc on
 the scaled model Y^2 = X^3 - 27 c4 X - 54 c6, computing every order by
 Fraction additions.  Slow (over 100 ms on large-parameter curves) and
 refused when `factor` gives up, but independent of the q-adic lift.
+
+`long_model_count` is the oracle for `curves.count_points`: the long-model
+enumeration with a quadratic-character table that it replaced.
 """
 
 from fractions import Fraction
@@ -18,6 +21,26 @@ from iwasawa.curves import (
     ec_mul,
 )
 from iwasawa.padics import factor, is_prime
+
+
+def long_model_count(E: WeierstrassCurve, p: int) -> int:
+    """|E~(F_p)|: every (x, y) for p = 2, else z^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
+    counted with a quadratic-character table over all x in F_p."""
+    if p == 2:
+        return 1 + sum(1 for x in range(2) for y in range(2)
+                       if (y * y + E.a1 * x * y + E.a3 * y
+                           - (x ** 3 + E.a2 * x * x + E.a4 * x + E.a6)) % 2 == 0)
+    chi = bytearray(p)
+    for t in range(1, (p + 1) // 2):
+        chi[t * t % p] = 1
+    b2, b4, b6 = E.b2 % p, E.b4 % p, E.b6 % p
+    total = p + 1
+    for x in range(p):
+        g = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
+        if g == 0:
+            continue
+        total += 1 if chi[g] else -1
+    return total
 
 
 def point_order(E: WeierstrassCurve, P, bound=16):
