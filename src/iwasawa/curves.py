@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from .padics import factor, is_prime, valuation
@@ -201,8 +202,9 @@ def count_points(E: WeierstrassCurve, p: int) -> int:
     36, 108 are units, so the count is 1 + sum over X of w[h(X)], where
     w[t] = 1 + chi(t) counts the roots of z^2 = t.  X and -X share
     u = X^3 + A X: h(+-X) = B +- u, which lies in (-p, 2p), so w is stored
-    twice over and indexed without a reduction.  p = 1009 takes about
-    0.13 ms and p = 89989 about 15 ms (2 vCPUs, Intel Xeon, CPython 3.11).
+    twice over, indexed without a reduction and kept for the last p.  p = 1009
+    takes about 0.14 ms and p = 89989 about 15 ms, or 0.20 and 20 ms when w
+    is built (`_root_weights`; 2 vCPUs, Intel Xeon, CPython 3.11).
     """
     if p > AP_COUNT_BOUND:
         raise ValueError(f"p = {p} exceeds the naive counting bound {AP_COUNT_BOUND}")
@@ -212,16 +214,22 @@ def count_points(E: WeierstrassCurve, p: int) -> int:
                        if (y * y + a1 * x * y + a3 * y
                            - (x ** 3 + a2 * x * x + a4 * x + a6)) % p == 0)
     A, B = -27 * E.c4 % p, -54 * E.c6 % p
-    w = bytearray(p)
-    for t in range(1, (p + 1) // 2):
-        w[t * t % p] = 2
-    w[0] = 1
-    w *= 2
+    w = _root_weights(p)
     total = 1 + w[B]
     for X in range(1, (p + 1) // 2):
         u = (X * X + A) * X % p
         total += w[B + u] + w[B - u]
     return total
+
+
+@lru_cache(maxsize=1)
+def _root_weights(p: int) -> bytes:
+    """w[t] = 1 + chi(t) mod p, twice over; one slot, as counts come in runs at one p."""
+    w = bytearray(p)
+    for t in range(1, (p + 1) // 2):
+        w[t * t % p] = 2
+    w[0] = 1
+    return bytes(w * 2)
 
 
 def ap_count(E: WeierstrassCurve, p: int) -> int:

@@ -108,8 +108,8 @@ def deuring_search(p: int, a_target: int, seed: int = 0):
     a_target; this halves the expected number of point counts.  Each
     `count_points` is O(p) and about sqrt(p) draws are expected, so a
     search near SEARCH_PRIME_BOUND costs O(p^1.5): five searches at
-    p = 99971..99991 made 145 to 696 counts of about 20 ms each and took
-    3.5 to 14.5 s (2 vCPUs, Intel Xeon, CPython 3.11).  After 40 p
+    p = 99971..99991 made 74 to 2400 counts of about 15 ms each and took
+    1.2 to 35 s (2 vCPUs, Intel Xeon, CPython 3.11).  After 40 p
     nonsingular draws ForgeError is raised.
     Returns integer a-invariants in [0, p).
     """

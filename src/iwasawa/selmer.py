@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import WeierstrassCurve, _integer_cubic_roots, ap_count, quadratic_twist, torsion
+from .curves import (CertificateError, WeierstrassCurve, _integer_cubic_roots, ap_count,
+                     quadratic_twist, torsion)
 from .padics import iwasawa_log, legendre, valuation
 from .tate import bad_primes, tate_local, tate_period
 
@@ -276,7 +277,7 @@ def density_screen(E: WeierstrassCurve, p: int,
     Rational 2-torsion with p > 5 forces 2p <= |E~(F_p)| < 1 + p + 2 sqrt p,
     impossible; a declared isogenous torsion subgroup of order q > 2 with
     p not dividing q works the same way.  Cross-checked against the actual
-    point count.
+    point count: a disagreement raises CertificateError, also under -O.
     """
     if tate_local(E, p).kind != "good":
         raise ValueError(f"needs good reduction at {p}")
@@ -291,9 +292,9 @@ def density_screen(E: WeierstrassCurve, p: int,
         if gap > 0 and gap * gap > 4 * p:  # qp > 1 + p + 2 sqrt(p), exactly
             excluded = True
             reason = f"isogenous torsion of order {q}: {q}*{p} > 1 + {p} + 2*sqrt({p})"
-    if excluded:
-        ap = ap_count(E, p)
-        assert ap % p != 1, "screen contradicts the actual point count"
+    if excluded and ap_count(E, p) % p == 1:
+        raise CertificateError(f"screen excludes anomalous reduction at {p}, "
+                               "but the point count is anomalous")
     return ScreenReport(excluded, reason or "hypotheses absent")
 
 

@@ -292,12 +292,19 @@ def _finish(E_orig, cur, ell, kind, c, kodaira, vD, transform):
 
 def bad_primes(E: WeierstrassCurve):
     """Primes of bad reduction (where the minimal discriminant vanishes),
-    ascending: a new list each call, from the tuple kept on E."""
-    bad = E._recall("bad_primes")
-    if bad is None:
-        bad = E._remember("bad_primes", tuple(
-            ell for ell in factor(E.disc) if tate_local(E, ell).kind != "good"))
-    return list(bad)
+    ascending: a new list each call, from the tuple kept on E.  Tate's
+    algorithm decides ell = 2, 3; at ell >= 5 u = ell^(v(disc)/12) leaves c4,
+    c6 integral, so good iff 12 | v(disc) and c4 = 0 or 3 v(c4) >= v(disc)."""
+    def bad(ell):
+        if ell <= 3:
+            return tate_local(E, ell).kind != "good"
+        vD = valuation(E.disc, ell)
+        return vD % 12 != 0 or (E.c4 != 0 and 3 * valuation(E.c4, ell) < vD)
+
+    kept = E._recall("bad_primes")
+    if kept is None:
+        kept = E._remember("bad_primes", tuple(filter(bad, factor(E.disc))))
+    return list(kept)
 
 
 def conductor(E: WeierstrassCurve) -> int:

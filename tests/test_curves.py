@@ -5,10 +5,12 @@ from math import isqrt
 
 import pytest
 
+from iwasawa import selmer
 from iwasawa.curves import (
     SingularCurveError,
     WeierstrassCurve,
     _integer_cubic_roots,
+    _root_weights,
     ap_count,
     classify_at_p,
     count_points,
@@ -194,6 +196,48 @@ def test_count_points_refuses_past_the_bound():
         count_points(E11, 100003)
     with pytest.raises(ValueError, match="exceeds the naive counting bound"):
         tate_local(E11, 100003)
+
+
+def test_kept_table_across_interleaved_primes_and_curves():
+    # p1, p2, p1, ...: every count at a prime whose table was just evicted,
+    # or just kept, equals the long-model oracle on several curves each
+    rng = random.Random(13)
+    curves = [entry.curve() for entry in dataset_load()]
+    primes = [5, 7, 1009, 99991]
+    while len(primes) < 8:
+        p = rng.randrange(5, 10 ** 5)
+        if is_prime(p):
+            primes.append(p)
+    oracle = {}
+    for p1, p2 in zip(primes, primes[1:] + primes[:1]):
+        for p in (p1, p2, p1):
+            for k in rng.sample(range(len(curves)), 3):
+                E = curves[k]
+                if E.disc % p:
+                    if (k, p) not in oracle:
+                        oracle[k, p] = long_model_count(E, p)
+                    assert count_points(E, p) == oracle[k, p], (E, p)
+
+
+def test_kept_table_is_one_immutable_slot():
+    for p in (5, 7, 11, 1009, 4001, 99991):
+        count_points(E11, p)
+    assert _root_weights.cache_info().currsize == 1
+    w = _root_weights(99991)
+    assert isinstance(w, bytes) and len(w) == 2 * 99991
+    assert w[0] == w[99991] == 1 and w[1] == w[4] == 2
+
+
+def test_good_sweep_row_builds_the_table_once():
+    A = selmer.GlobalAssumptions(sel_vp=0)
+    for p in (7, 1009):  # p = 7 fills the curve's memo (torsion, bad primes)
+        _root_weights.cache_clear()
+        assert tate_local(E11, p).kind == "good"
+        selmer.euler_char(E11, p, A)
+        selmer.criterion_vanishing(E11, p, A)
+        selmer.criterion_infinite(E11, p, A)
+    info = _root_weights.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_classification():

@@ -217,9 +217,27 @@ def test_factor_reassembles_seeded_integers():
         for q, e in fact.items():
             assert e >= 1 and is_prime(q)
             # a second opinion: Fermat tests to bases is_prime does not use
-            assert q < 60 or all(pow(b, q - 1, q) == 1 for b in (41, 43, 47, 53))
+            assert q < 60 or all(pow(b, q - 1, q) == 1 for b in (43, 47, 53, 59))
             back *= q ** e
         assert back == abs(n)
+
+
+def test_is_prime_matches_a_sieve():
+    n = 10 ** 5
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for q in range(2, 317):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, n, q)))
+    assert [m for m in range(n) if is_prime(m)] == [m for m in range(n) if sieve[m]]
+
+
+def test_is_prime_at_psi_12():
+    # psi_12: the least strong pseudoprime to every prime base up to 37
+    psi_12, q1, q2 = 318665857834031151167461, 399165290221, 798330580441
+    assert psi_12 == q1 * q2 and is_prime(q1) and is_prime(q2)
+    assert not is_prime(psi_12)
+    assert factor(psi_12) == {q1: 1, q2: 1}
 
 
 def test_factor_small_cases():

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
-from iwasawa.curves import WeierstrassCurve, classify_at_p
+from iwasawa import tate
+from iwasawa.curves import CertificateError, WeierstrassCurve, classify_at_p
 from iwasawa.selmer import (
     EulerCharError,
     GlobalAssumptions,
@@ -137,6 +144,32 @@ def test_density_screen():
     r = density_screen(E["11a"], 7, declared_torsion_order=5)
     assert r.excluded
     assert not density_screen(E["67a1"], 3).excluded
+
+
+_BREAK_SCREEN_UNDER_O = textwrap.dedent("""
+    from iwasawa import tate
+    from iwasawa.curves import CertificateError, WeierstrassCurve
+    from iwasawa.selmer import density_screen
+
+    assert False, "asserts must be off"
+    tate.count_points = lambda E, p: 13    # a_13 = 1: anomalous despite 2-torsion
+    try:
+        print("answered:", density_screen(WeierstrassCurve(0, 0, 0, 4, 0), 13))
+    except CertificateError as e:
+        print("refused:", e)
+""")
+
+
+def test_density_screen_cross_check_holds_under_python_O(monkeypatch):
+    monkeypatch.setattr(tate, "count_points", lambda E, p: 13)
+    with pytest.raises(CertificateError, match="the point count is anomalous"):
+        density_screen(E["32a"], 13)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", _BREAK_SCREEN_UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "refused: screen excludes anomalous reduction at 13, but the point count is anomalous"]
 
 
 def test_twist_lambda_values():

@@ -301,6 +301,40 @@ def test_bad_primes_with_two_large_prime_factors():
     assert conductor(E) == 2 ** valuation(conductor(E), 2) * (10000019 * 20000003) ** 2
 
 
+def _scaled(a, u):
+    return [ai * u ** i for ai, i in zip(a, (1, 2, 3, 4, 6))]
+
+
+def test_bad_primes_valuation_rule_matches_tate_algorithm():
+    # at ell >= 5, bad_primes decides from valuations; Tate's algorithm,
+    # here at every ell <= 10^5 dividing disc, is the oracle: the dataset,
+    # its extras and small curves u-scaled (not minimal) or twisted (additive)
+    curves = [e.curve() for e in dataset_load() + dataset_extras()]
+    rng = random.Random(13)
+    while len(curves) < 400:
+        u, d = rng.choice((1, 5, 7, 11, 13, 35)), rng.choice((1, 1, 5, 7, -11, 13))
+        try:
+            E1 = WeierstrassCurve(*_scaled([rng.randint(-30, 30) for _ in range(5)], u))
+        except SingularCurveError:
+            continue
+        curves.append(E1 if d == 1 else quadratic_twist(E1, d))
+    kinds = {"good": 0, "bad": 0}
+    for E1 in curves:
+        for ell in factor(E1.disc):
+            if 5 <= ell <= 10 ** 5:
+                good = tate_local(E1, ell).kind == "good"
+                assert (ell not in bad_primes(E1)) == good, (E1, ell)
+                kinds["good" if good else "bad"] += 1
+    assert kinds["good"] >= 200 and kinds["bad"] >= 800
+
+
+def test_bad_primes_of_a_model_scaled_past_the_counting_bound():
+    # good at 100003, where count_points refuses: decided without a count
+    E1 = WeierstrassCurve(*_scaled(CURVES["11a"], 100003))
+    assert bad_primes(E1) == [11]
+    assert conductor(E1) == 11
+
+
 def _cubic_shape_by_search(c0, c1, c2, ell):
     """The scan oracle: every root of P over F_ell, with its multiplicity
     read off the low coefficients of P(T + x)."""

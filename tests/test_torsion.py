@@ -241,7 +241,7 @@ def test_certificates_raise_under_python_O():
 
 
 #: bare asserts still in src/, per module; a new check must raise a named error
-ASSERTS_LEFT = {"curves.py": 0, "mu.py": 4, "nfpoints.py": 1, "selmer.py": 1, "tate.py": 0}
+ASSERTS_LEFT = {"curves.py": 0, "mu.py": 4, "nfpoints.py": 1, "selmer.py": 0, "tate.py": 0}
 
 
 def test_no_module_gains_a_bare_assert():
