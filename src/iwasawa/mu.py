@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .curves import WeierstrassCurve, _integer_cubic_roots, ec_add, ec_mul, on_curve, point_arith
+from .curves import WeierstrassCurve, _integer_cubic_roots, ec_add, ec_mul, on_curve
 from .padics import valuation
 from .tate import tate_local
 
@@ -136,8 +136,8 @@ def velu_2isogeny(E: WeierstrassCurve, P):
     a_inv = tuple(Fraction(v) for v in E.ainvs())
     if not on_curve(a_inv, P) or ec_add(a_inv, P, P) is not None:
         raise ValueError("point is not a rational 2-torsion point")
+    # X0 = 4x(P) is a rational root of X^3 + b2 X^2 + 8 b4 X + 16 b6, so an integer
     X0, _ = _quadruple_coords(E, P)
-    assert X0.denominator == 1, "2-torsion X-coordinate must be integral here"
     sh = int(X0)
     a = 3 * sh + E.b2
     b = 3 * sh * sh + 2 * E.b2 * sh + 8 * E.b4
@@ -184,6 +184,8 @@ def mu_lower_bound(label: str, p: int, edges, curves: dict | None = None) -> MuV
     E -> E' composed with a ramified+odd invariant subgroup on E' pulls
     back to one of the product order on E.  For p = 2 each curve also
     contributes its own classified rational 2-torsion as a base case.
+    The walk tries every simple path, so a graph with more curves
+    reachable from `label` than an isogeny class over Q holds is refused.
     """
     by_pair = {}
     adj = {}
@@ -195,6 +197,12 @@ def mu_lower_bound(label: str, p: int, edges, curves: dict | None = None) -> MuV
             raise KernelGraphError(f"contradictory classifications on {key}")
         by_pair[key] = e
         adj.setdefault(e.source, []).append(e)
+    reach = [label]
+    for node in reach:  # breadth first: the list grows as it is read
+        reach += {e.target for e in adj.get(node, [])}.difference(reach)
+        if len(reach) > 8:  # at most 8 curves are isogenous over Q (Kenku, JNT 15, 1982)
+            raise KernelGraphError(f"more than 8 curves are reachable from {label}: "
+                                   "more than an isogeny class over Q holds")
 
     def base(node):
         best = 0
@@ -271,10 +279,7 @@ def kramer_m1(a: int, b: int):
     if a >= 0 and b >= 0:
         raise ValueError("needs a or b negative")
     E = WeierstrassCurve(1, -a, 0, -4 * b, m * b)
-    P = (Fraction(m, 4), Fraction(-m, 8))
-    assert E.disc == b * (m * m - 64 * b) ** 2
-    assert point_arith(E, P, n=2) is None
-    return E, P
+    return E, (Fraction(m, 4), Fraction(-m, 8))
 
 
 def kramer_m4(c: int, d: int) -> WeierstrassCurve:
@@ -289,10 +294,7 @@ def kramer_m4(c: int, d: int) -> WeierstrassCurve:
         raise ValueError("needs gcd(c, d) = 1")
     u = 2 * c ** 4 - d ** 4
     w = 4 * (c * d) ** 4 - 4 * c ** 8
-    E = WeierstrassCurve(0, u, 0, w, u * w)
-    P = (d ** 4 - 2 * c ** 4, 0)
-    assert point_arith(E, P, n=2) is None
-    return E
+    return WeierstrassCurve(0, u, 0, w, u * w)
 
 
 def kramer_m4_minimal_disc(c: int, d: int):

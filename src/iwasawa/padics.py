@@ -30,6 +30,10 @@ class PrimeMismatchError(PadicError):
     pass
 
 
+class CertificateError(ArithmeticError):
+    """A check that only a wrong answer can fail; raised, so kept under -O."""
+
+
 def is_prime(m: int) -> bool:
     """Miller-Rabin to the prime bases up to 41: proven below psi_13 =
     3317044064679887385961981 (Sorenson-Webster, Math. Comp. 86, 2017),

@@ -35,7 +35,8 @@ def tate_period(E, ell, digits=20):
             q = q_next
             break
         q = q_next
-    assert q.v == c, "Tate period valuation mismatch"
+    if q.v != c:
+        raise AssertionError("Tate period valuation mismatch")
     jval = q.inverse()
     power = PadicNumber.from_rational(ell, 1, work)
     for n in range(nterms):

@@ -1,6 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +34,7 @@ from iwasawa.lambda_algebra import (
     theta_poly_int,
     weierstrass_prepare,
 )
-from iwasawa.padics import PadicNumber, PrecisionError, valuation
+from iwasawa.padics import CertificateError, PadicNumber, PrecisionError, valuation
 from padic_oracles import involution as composed_involution
 
 
@@ -410,6 +415,76 @@ def test_cli_reports_bad_max_pn(monkeypatch, capsys):
     monkeypatch.setenv("IWASAWA_MAX_PN", "abc")
     assert main(["growth", "p=3 coeffs=[-3,1]", "--n-max", "2"]) == 1
     assert "IWASAWA_MAX_PN" in capsys.readouterr().err
+
+
+# -- certificates: a wrong answer raises CertificateError, also under python -O ----
+
+_BREAK_CERTIFICATES = textwrap.dedent("""
+    from iwasawa import lambda_algebra as la
+
+    real_resultant, real_divide = la.poly_resultant, la._weierstrass_divide
+
+    def tripled_resultant(a, b):
+        return 3 * real_resultant(a, b)
+
+    def skewed_divide(h, g, lam):
+        q, r = real_divide(h, g, lam)   # the prepared unit comes out divided by 1 + T
+        return q * la.LambdaElement(q.p, [1, 1], q.coeff_prec, q.t_prec), r
+""")
+
+_UNDER_O = _BREAK_CERTIFICATES + textwrap.dedent("""
+    import contextlib, io
+    from iwasawa.cli import main
+
+    def expect(what, call):
+        try:
+            call()
+        except la.CertificateError as e:
+            print(what, e)
+
+    def cli(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            print(argv[0], "exit", main(argv), err.getvalue().strip())
+
+    assert False, "asserts must be off"
+    la.poly_resultant = tripled_resultant
+    expect("snf:", lambda: la.quotient_order(la.LambdaElement(3, [-3, 1], 30, 40), 1))
+    cli(["growth", "p=3 coeffs=[-3,1]", "--n-max", "2"])
+    la._weierstrass_divide = skewed_divide
+    expect("prepare:", lambda: la.weierstrass_prepare(la.LambdaElement(3, [3, 3, 1], 30, 40)))
+    cli(["fe", "p=3 coeffs=[3,3,1]"])
+""")
+
+
+def test_broken_certificates_raise_and_the_cli_reports_them(monkeypatch, capsys):
+    ns = {}
+    exec(_BREAK_CERTIFICATES, ns)
+    monkeypatch.setattr(la, "poly_resultant", ns["tripled_resultant"])
+    with pytest.raises(CertificateError, match="SNF and resultant"):
+        quotient_order(el(3, [-3, 1]), 1)
+    assert main(["growth", "p=3 coeffs=[-3,1]", "--n-max", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: SNF and resultant torsion orders disagree\n"
+    monkeypatch.undo()
+    monkeypatch.setattr(la, "_weierstrass_divide", ns["skewed_divide"])
+    with pytest.raises(CertificateError, match="reconstruction"):
+        weierstrass_prepare(el(3, [3, 3, 1]))
+    assert main(["fe", "p=3 coeffs=[3,3,1]"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: preparation reconstruction failed\n"
+
+
+def test_broken_certificates_raise_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "snf: SNF and resultant torsion orders disagree",
+        "growth exit 1 error: SNF and resultant torsion orders disagree",
+        "prepare: preparation reconstruction failed",
+        "fe exit 1 error: preparation reconstruction failed"]
 
 
 # -- differential tests for the layer-quotient kernels ----------------------------

@@ -1,12 +1,17 @@
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from iwasawa.cli import main
 from iwasawa.curves import WeierstrassCurve, point_arith, torsion
 from iwasawa.mu import (
     IsogenyEdge,
     KernelClass,
+    KernelGraphError,
+    _quadruple_coords,
     classify_two_torsion,
     dual_composition_is_doubling,
     kramer_m1,
@@ -176,8 +181,85 @@ def test_kramer_m4_constraints():
         kramer_m4(3, 9)   # gcd > 1
 
 
+def test_kramer_identities_on_seeded_parameters():
+    """What kramer_m1 and kramer_m4 used to assert on every call: the
+    discriminant b (m^2 - 64 b)^2 and the given point of order 2."""
+    rng = random.Random(1982)
+    m1 = m4 = 0
+    while m1 < 60:
+        a, b = rng.randint(-10 ** 6, 10 ** 6), rng.randint(-10 ** 6, 10 ** 6)
+        try:
+            E, P = kramer_m1(a, b)
+        except ValueError:
+            continue
+        m = 4 * a - 1
+        assert E.disc == b * (m * m - 64 * b) ** 2
+        assert point_arith(E, P, n=2) is None
+        m1 += 1
+    while m4 < 30:
+        c, d = 2 * rng.randint(0, 200) + 1, 2 * rng.randint(0, 200) + 1
+        try:
+            E = kramer_m4(c, d)
+        except ValueError:
+            continue
+        assert point_arith(E, (d ** 4 - 2 * c ** 4, 0), n=2) is None
+        m4 += 1
+
+
+def test_velu_kernel_x_is_integral_on_the_quadrupled_model():
+    """velu_2isogeny shifts by X0 = 4 x(P) without checking it is an
+    integer; it is, for rational 2-torsion, also where x(P) is not."""
+    rng = random.Random(1983)
+    checked = fractional = 0
+    while checked < 100:
+        mag = 10 ** rng.choice((2, 9, 30))
+        u1 = 4 * rng.randint(-mag, mag) + 3
+        k2 = 2 * rng.randint(-mag, mag)
+        k3 = 4 * rng.randint(-mag, mag) - k2
+        if len({u1, 4 * k2, 4 * k3}) < 3:
+            continue
+        E, pts = _full_two_torsion_curve(u1, k2, k3)
+        E = E.transform(r=rng.randint(-50, 50), s=rng.randint(-3, 3), t=rng.randint(-50, 50))
+        for P in _rational_two_torsion_points(E):
+            assert _quadruple_coords(E, P)[0].denominator == 1
+            assert velu_2isogeny(E, P)[1]._shift == 4 * P[0]
+            fractional += P[0].denominator > 1
+        checked += 1
+    assert fractional == checked  # the point at x = u1/4 on each curve
+
+
+def _complete_graph(n, p=5):
+    labels = [f"c{i}" for i in range(n)]
+    return [IsogenyEdge(a, b, p, KernelClass(p, True, True))
+            for a in labels for b in labels if a != b]
+
+
+def test_mu_lower_bound_refuses_more_than_an_isogeny_class():
+    t0 = time.perf_counter()
+    assert mu_lower_bound("c0", 5, _complete_graph(8)).lower_bound == 8
+    for n in (9, 12):
+        with pytest.raises(KernelGraphError, match="more than 8 curves are reachable from c0"):
+            mu_lower_bound("c0", 5, _complete_graph(n))
+    assert time.perf_counter() - t0 < 5
+    # what c0 cannot reach does not count
+    edges = _complete_graph(8) + [IsogenyEdge("x", "c0", 5, KernelClass(5, True, True))]
+    assert mu_lower_bound("c0", 5, edges).lower_bound == 8
+
+
+def test_cli_mu_bound_refuses_a_nine_curve_graph(tmp_path, capsys):
+    labels = ["768d3", "768d1"] + [f"c{i}" for i in range(7)]  # with the dataset edge
+    edges = [{"from": a, "to": b, "degree": 5,
+              "kernel": {"order": 5, "ramified": True, "odd": True}}
+             for a in labels for b in labels if a != b]
+    path = tmp_path / "edges.json"
+    path.write_text(json.dumps(edges))
+    assert main(["mu-bound", "--curve", "768d3", "--p", "5", "--edges", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: more than 8 curves are reachable from 768d3")
+
+
 def test_contradictory_kernel_graph_rejected():
-    from iwasawa.mu import KernelGraphError
     edges = [IsogenyEdge("a", "b", 2, KernelClass(2, True, True, "input")),
              IsogenyEdge("a", "b", 2, KernelClass(2, False, True, "input"))]
     with pytest.raises(KernelGraphError):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,62 @@ def test_irreducibility_screen():
     with pytest.raises(ValueError):
         NumberField([4, 0, -5, 0, 1])  # (x^2-1)(x^2-4)
     NumberField([2, 0, -4, 0, 1])      # irreducible quartic is accepted
+
+
+def _has_quadratic_factor_by_search(g):
+    """The former quartic test: every a in a range as wide as the coefficients."""
+    c0 = g[0]
+    divisors = [d for d in range(1, abs(c0) + 1) if c0 % d == 0]
+    for b in divisors:
+        for bb in (b, -b):
+            dd = c0 // bb
+            # (x^2 + a x + bb)(x^2 + c x + dd): match coefficients
+            for a in range(-abs(g[3]) - abs(g[1]) - abs(bb) - abs(dd) - 2,
+                           abs(g[3]) + abs(g[1]) + abs(bb) + abs(dd) + 3):
+                c = g[3] - a
+                if bb + dd + a * c == g[2] and a * dd + c * bb == g[1]:
+                    return True
+    return False
+
+
+def _has_rational_root(g):
+    return any(sum(c * x ** i for i, c in enumerate(g)) == 0
+               for d in range(1, abs(g[0]) + 1) if g[0] % d == 0 for x in (d, -d))
+
+
+def _accepted(g):
+    try:
+        NumberField(g)
+    except ValueError:
+        return False
+    return True
+
+
+def test_quartic_screen_matches_the_search_oracle():
+    rng = random.Random(1414)
+    reducible = 0
+    for i in range(1500):
+        if i % 2:  # a product of two monic quadratics, b and e nonzero
+            a, c = rng.randint(-20, 20), rng.randint(-20, 20)
+            b, e = rng.choice([-1, 1]) * rng.randint(1, 20), rng.choice([-1, 1]) * rng.randint(1, 20)
+            if i % 10 == 1:
+                c, e = a, b  # a square, the b = e branch
+            g = [b * e, a * e + c * b, b + e + a * c, a + c, 1]
+        else:
+            g = [rng.choice([-1, 1]) * rng.randint(1, 60)] + [rng.randint(-30, 30) for _ in range(3)] + [1]
+        want = not (_has_rational_root(g) or _has_quadratic_factor_by_search(g))
+        assert _accepted(g) == want, g
+        reducible += not want
+    assert reducible > 750
+
+
+def test_quartic_screen_does_not_scale_with_the_coefficients():
+    t0 = time.perf_counter()
+    NumberField([2, 10 ** 12, 0, 0, 1])  # Eisenstein at 2
+    a, b, c, e = 1, 1, 10 ** 6, 10 ** 12  # (x^2 + x + 1)(x^2 + 10^6 x + 10^12)
+    with pytest.raises(ValueError):
+        NumberField([b * e, a * e + c * b, b + e + a * c, a + c, 1])
+    assert time.perf_counter() - t0 < 1
 
 
 def test_group_law_over_cubic_field():
