@@ -147,11 +147,6 @@ CONDUCTOR_195_TABLE = {
     "195a8": (1, 2, (1, 16, 1), 6, 4),
 }
 
-TABLE_SOURCE = "reported isogeny-class tables (conductors 15 and 195, p = 2)"
-
-#: quadratic-twist lambda instances: (lambda_xi, d) -> lambda of the twist
-TWIST_LAMBDA_CASES = (((0, -2), 1), ((1, -1), 2), ((10, -3624233), 21))
-
 _CHECKSUM = "d113bfa026acf9737c0fa25ee16b6c9b4a87aa779530b088581a54f0f75f60f3"
 
 

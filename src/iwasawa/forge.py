@@ -113,6 +113,8 @@ def deuring_search(p: int, a_target: int, seed: int = 0):
     nonsingular draws ForgeError is raised.
     Returns integer a-invariants in [0, p).
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if a_target * a_target >= 4 * p:
         raise ValueError("target trace violates the Hasse bound")
     if p > SEARCH_PRIME_BOUND:

@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .padics import (
     CertificateError,
@@ -51,6 +52,8 @@ class LambdaElement:
         mod = p ** coeff_prec
         cs = [c % mod for c in coeffs]
         if t_prec is not None:
+            if t_prec < 1:
+                raise TPrecisionError("T-precision below one term")
             cs = cs[:t_prec] + [0] * (t_prec - len(cs))
         self.p = p
         self.coeff_prec = coeff_prec
@@ -117,11 +120,9 @@ class LambdaElement:
         k = self.t_prec if t_prec is None else min(t_prec, self.t_prec)
         return LambdaElement(self.p, self.coeffs[:k], n, k)
 
-    def lift_coeffs(self, symmetric=True):
-        """Integer representatives; symmetric lift recovers small exact inputs."""
+    def lift_coeffs(self):
+        """Symmetric integer representatives, which recover small exact inputs."""
         mod = self.p ** self.coeff_prec
-        if not symmetric:
-            return list(self.coeffs)
         return [c - mod if c > mod // 2 else c for c in self.coeffs]
 
     # -- text form -----------------------------------------------------
@@ -178,27 +179,22 @@ def mu_lambda(f: LambdaElement):
     return mu, vals.index(mu)
 
 
-def is_unit(f: LambdaElement) -> bool:
-    try:
-        return mu_lambda(f) == (0, 0)
-    except ZeroAtPrecision:
-        return False
+def _divide(a: LambdaElement, b: LambdaElement) -> LambdaElement:
+    """a / b for a unit series b, exact mod (p^N, T^K), one coefficient at a time.
 
-
-def series_inverse(f: LambdaElement) -> LambdaElement:
-    """Inverse of a unit series by Newton doubling; exact in the truncated ring."""
-    if not is_unit(f):
-        raise ValueError("series_inverse needs a unit")
-    p, n, k = f.p, f.coeff_prec, f.t_prec
+    q_m = b_0^(-1) * (a_m - sum_{i=1..m} b_i q_(m-i)); no product is formed.
+    """
+    n, k = a._align(b)
+    p = a.p
+    if not b.coeffs or b.coeffs[0] % p == 0:
+        raise ValueError("divisor is not a unit series")
     mod = p ** n
-    inv0 = pow(f.coeffs[0], -1, mod)
-    x = LambdaElement(p, [inv0], n, k)
-    two = LambdaElement(p, [2], n, k)
-    m = 1
-    while m < k:
-        x = x * (two - f * x)
-        m *= 2
-    return x
+    inv0 = pow(b.coeffs[0], -1, mod)
+    bs = b.coeffs[1:k]
+    q = []
+    for m in range(k):
+        q.append((a.coeffs[m] - sum(map(mul, bs, reversed(q)))) * inv0 % mod)
+    return LambdaElement(p, q, n, k)
 
 
 @dataclass(frozen=True)
@@ -234,15 +230,15 @@ def _weierstrass_divide(h: LambdaElement, g: LambdaElement, lam: int):
     g = g.truncate(n, k)
     h = h.truncate(n, k)
     glow = LambdaElement(p, g.coeffs[:lam], n, k)
-    gbar_inv = series_inverse(LambdaElement(p, g.coeffs[lam:], n, k))
+    gbar = LambdaElement(p, g.coeffs[lam:], n, k)
     tau_h = LambdaElement(p, h.coeffs[lam:], n, k)
-    # q is the unique fixed point of q -> gbar^(-1) tau(h - glow*q); each
+    # q is the unique fixed point of q -> tau(h - glow*q) / gbar; each
     # sweep multiplies the correction by another factor in pZ_p, so n sweeps
     # reach it (the reconstruction check in weierstrass_prepare is the backstop)
-    q = gbar_inv * tau_h
+    q = _divide(tau_h, gbar)
     for _ in range(n):
         corr = LambdaElement(p, (glow * q).coeffs[lam:], n, k)
-        q_new = gbar_inv * (tau_h - corr)
+        q_new = _divide(tau_h - corr, gbar)
         if q_new == q:
             break
         q = q_new
@@ -277,7 +273,7 @@ def weierstrass_prepare(f: LambdaElement):
     q, r = _weierstrass_divide(_monomial(p, lam, n, k), g, lam)
     d_el = _monomial(p, lam, n_d, k) - r.truncate(coeff_prec=n_d)
     dist = DistinguishedPoly(p, tuple(d_el.coeffs[: lam + 1]), n_d)
-    unit = series_inverse(q)
+    unit = _divide(one(p, n, k), q)
     recon = dist.as_element(k).truncate(coeff_prec=n) * unit
     for i in range(k):
         allow = max(1, min(n_d, (k - lam - i) // lam - 1))
@@ -321,24 +317,32 @@ def mod_p_shape(f: LambdaElement) -> int:
 
 def theta(n: int, p: int, coeff_prec=DEFAULT_COEFF_PREC, t_prec=DEFAULT_T_PREC):
     """(1 + T)^(p^n) - 1, truncated.  theta(0) = T."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if p ** n >= t_prec:
+    coeffs = theta_poly_int(n, p)
+    if len(coeffs) > t_prec:
         import warnings
         warnings.warn(f"theta_{n} has degree {p ** n} >= T-precision {t_prec}: truncated",
                       stacklevel=2)
-    return LambdaElement(p, theta_poly_int(n, p)[:t_prec], coeff_prec, t_prec)
+    return LambdaElement(p, coeffs[:t_prec], coeff_prec, t_prec)
 
 
 def theta_poly_int(n: int, p: int):
     """Exact integer coefficients of (1 + T)^(p^n) - 1, ascending."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     m = p ** n
-    coeffs = [0] * (m + 1)
-    b = 1
-    for k in range(1, m + 1):
-        b = b * (m - k + 1) // k
-        coeffs[k] = b
-    return coeffs
+    return [0] + _binomials(m, m + 1)[1:]
+
+
+def _binomials(c: int, count: int):
+    """[C(c, 0), ..., C(c, count - 1)], the coefficients of (1 + T)^c.
+
+    Each C(c, i) = C(c, i - 1) * (c - i + 1) / i is an exact integer for
+    every integer c, negative c included.
+    """
+    out = [1]
+    for i in range(1, count):
+        out.append(out[-1] * (c - i + 1) // i)
+    return out
 
 
 def max_pn_cap():
@@ -369,6 +373,8 @@ def quotient_order(f: LambdaElement, n: int):
     """
     if f.is_zero():
         raise ZeroAtPrecision("quotient of the zero ideal")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     p = f.p
     m = p ** n
     cap = max_pn_cap()
@@ -685,8 +691,8 @@ def fe_solve(f: LambdaElement):
     c = log_p<N> / log_p kappa(gamma).
 
     Candidates come from the prepared unit parts (reduced precision);
-    when the candidate exponent lifts to a small integer, the identity is
-    re-certified exactly in the full truncated ring.
+    the candidate exponent's symmetric lift is then certified exactly in
+    the full truncated ring, with (1+T)^c from its binomial coefficients.
     """
     if f.is_zero():
         raise ZeroAtPrecision("fe_solve needs nonzero input")
@@ -700,7 +706,7 @@ def fe_solve(f: LambdaElement):
     if mu_f != mu_g or any((a - b) % f.p ** n_cert for a, b in zip(d_f.coeffs, d_g.coeffs)):
         return None
     p = f.p
-    ratio = u_g * series_inverse(u_f)
+    ratio = _divide(u_g, u_f)
     mod = p ** n_cert
     w0 = ratio.coeffs[0] % mod
     if w0 == 1:
@@ -712,30 +718,17 @@ def fe_solve(f: LambdaElement):
     x = ratio if w == 1 else -ratio
     c_res = x.coeffs[1] % mod if x.t_prec > 1 else 0
     c_lift = c_res - mod if c_res > mod // 2 else c_res
-    if abs(c_lift) <= 1 << 24:
-        # exact certification: iota(f)*(1+T)^(-c) == w*f via integer powers
-        onepT = LambdaElement(p, [1, 1], f.coeff_prec, f.t_prec)
-        pw = _int_power(onepT, abs(c_lift))
-        lhs, rhs = (g, pw * f) if c_lift >= 0 else (pw * g, f)
-        if lhs == (rhs if w == 1 else -rhs):
-            return w, _coeff_padic(p, c_lift % p ** f.coeff_prec, f.coeff_prec)
+    # exact certification: iota(f) == w * (1+T)^c * f
+    w_pow = LambdaElement(p, [w * b for b in _binomials(c_lift, f.t_prec)],
+                          f.coeff_prec, f.t_prec)
+    if g == w_pow * f:
+        return w, _coeff_padic(p, c_lift % p ** f.coeff_prec, f.coeff_prec)
     # fallback: derivative relation (k+1) X_{k+1} = (c-k) X_k at reduced precision
     k_hon = max(2, x.t_prec - d_f.degree * (n_cert + 1))
     for k in range(min(k_hon, x.t_prec) - 1):
         if ((k + 1) * x.coeffs[k + 1] - (c_res - k) * x.coeffs[k]) % mod:
             return None
     return w, _coeff_padic(p, c_res, n_cert)
-
-
-def _int_power(x: LambdaElement, k: int) -> LambdaElement:
-    acc = one(x.p, x.coeff_prec, x.t_prec)
-    base = x
-    while k:
-        if k & 1:
-            acc = acc * base
-        base = base * base
-        k >>= 1
-    return acc
 
 
 # -- presentations -------------------------------------------------------
@@ -786,23 +779,6 @@ def _det(matrix):
 
 
 def min_generators(pres: LambdaModulePresentation) -> int:
-    """dim over F_p of X/(p, T)X: rank r minus F_p-rank of the constant terms."""
-    p = pres.p
-    r = pres.rank
-    rows = [[row[j].coeffs[0] % p for j in range(r)] for row in pres.matrix]
-    rank = 0
-    col = 0
-    while col < r and rank < r:
-        piv = next((i for i in range(rank, r) if rows[i][col] % p), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        for i in range(r):
-            if i != rank and rows[i][col]:
-                fct = rows[i][col] * inv % p
-                rows[i] = [(a - fct * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return r - rank
+    """dim over F_p of X/(p, T)X: the rank defect mod p of the constant terms."""
+    consts = [[entry.coeffs[0] for entry in row] for row in pres.matrix]
+    return smith_p_valuations(consts, pres.p, 1)[1]

@@ -226,14 +226,6 @@ class PadicNumber:
         """Valuation; None plays the role of +infinity for (apparent) zero."""
         return None if self.is_zero else self.v
 
-    def lift(self):
-        """Integer representative p^v * u; requires v >= 0 and nonzero."""
-        if self.is_zero:
-            return 0
-        if self.v < 0:
-            raise ValueError("negative valuation has no integer lift")
-        return self.p ** self.v * self.u
-
     def residue(self, k):
         """The value modulo p^k as an integer in [0, p^k); requires v >= 0."""
         if self.is_zero:

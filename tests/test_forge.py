@@ -29,6 +29,9 @@ def test_deuring_examples():
     assert count_points(WeierstrassCurve(*a7), 7) == 7
     with pytest.raises(ValueError):
         deuring_search(5, 5)
+    for composite in (1, 9, 15):
+        with pytest.raises(ValueError, match="not prime"):
+            deuring_search(composite, 0)
 
 
 def test_deuring_answers_pinned():

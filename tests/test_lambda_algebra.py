@@ -36,6 +36,8 @@ from iwasawa.lambda_algebra import (
 )
 from iwasawa.padics import CertificateError, PadicNumber, PrecisionError, valuation
 from padic_oracles import involution as composed_involution
+from padic_oracles import int_power, series_inverse
+from padic_oracles import min_generators as eliminated_min_generators
 
 
 def el(p, coeffs, n=30, k=40):
@@ -92,6 +94,42 @@ def test_prepare_degree_three():
         coeff_prec=d.coeff_prec, t_prec=8)
 
 
+def _unit_series(rng, p, n, k):
+    cs = [rng.randrange(p ** n) for _ in range(k)]
+    cs[0] = rng.choice([x for x in range(1, p * p) if x % p])
+    return el(p, cs, n, k)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@pytest.mark.parametrize("k", (1, 2, 40))
+def test_divide_matches_the_newton_inverse_oracle(p, k):
+    rng = random.Random(10 * k + p)
+    for n in (1, 5, 30):
+        for _ in range(4):
+            b = _unit_series(rng, p, n, k)
+            a = el(p, [rng.randrange(p ** n) for _ in range(k)], n, k)
+            inv = series_inverse(b)
+            assert la._divide(one(p, n, k), b).coeffs == inv.coeffs
+            got = la._divide(a, b)
+            assert (got.coeff_prec, got.t_prec, got.coeffs) == (n, k, (a * inv).coeffs)
+        non_unit = el(p, [p] + [1] * (k - 1), n, k)
+        for divide in (lambda: la._divide(a, non_unit), lambda: series_inverse(non_unit)):
+            with pytest.raises(ValueError):
+                divide()
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@pytest.mark.parametrize("k", (1, 2, 40))
+def test_binomials_match_binary_powering(p, k):
+    for n in (1, 5, 30):
+        one_plus_t = el(p, [1, 1], n, k)
+        for c in list(range(-50, 51)) + [(1 << 24) + 5]:
+            want = int_power(one_plus_t, abs(c))
+            if c < 0:
+                want = series_inverse(want)
+            assert el(p, la._binomials(c, k), n, k).coeffs == want.coeffs, c
+
+
 def test_prepare_constructed_roundtrip_random():
     rng = random.Random(17)
     for _ in range(50):
@@ -113,6 +151,13 @@ def test_theta_small():
     assert theta(0, 3).coeffs[:3] == (0, 1, 0)
     assert theta(1, 3).coeffs[:5] == (0, 3, 3, 1, 0)
     assert theta(1, 2).coeffs[:4] == (0, 2, 1, 0)
+
+
+def test_negative_layers_are_refused():
+    for call in (lambda: theta_poly_int(-1, 3), lambda: quotient_order(el(3, [-3, 1]), -1),
+                 lambda: theta(-1, 3)):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            call()
 
 
 def test_theta_divisibility():
@@ -376,6 +421,35 @@ def test_min_generators_bounded_by_invariants():
         det = char_ideal(pres)
         mu, lam = mu_lambda(det)
         assert min_generators(pres) <= mu + lam
+
+
+def test_min_generators_matches_the_elimination_oracle():
+    rng = random.Random(43)
+    ranks = set()
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        r = rng.randint(1, 4)
+        # rows are combinations of a few basis rows mod p, so the rank mod p is often low
+        basis = [[rng.randrange(p ** 3) for _ in range(r)] for _ in range(rng.randint(0, r))]
+        rows = []
+        for _ in range(r):
+            cs = [rng.randrange(p) for _ in basis]
+            rows.append([sum(c * b[j] for c, b in zip(cs, basis)) + p * rng.randrange(9)
+                         for j in range(r)])
+        pres = LambdaModulePresentation(
+            p, tuple(tuple(el(p, [x, rng.randrange(9)], 3, 4) for x in row) for row in rows))
+        ranks.add(min_generators(pres))
+        assert min_generators(pres) == eliminated_min_generators(pres)
+    assert ranks == {0, 1, 2, 3, 4}
+
+
+def test_t_precision_below_one_is_refused(capsys):
+    for k in (0, -1):
+        with pytest.raises(TPrecisionError):
+            LambdaElement(3, [-3, 1, 5], 30, k)
+    assert main(["growth", "p=3 K=-1 coeffs=[-3,1,5]", "--n-max", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: T-precision below one term\n"
 
 
 def test_text_roundtrip():
