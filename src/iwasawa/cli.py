@@ -348,13 +348,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text):
+    """argparse type of the precision flags; argparse names the flag on error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser():
     ap = _Parser(prog="iwasawa",
                  description="Iwasawa-theoretic invariants of elliptic curves over Q")
     ap.add_argument("--format", choices=("json", "text"), default="text")
-    ap.add_argument("--precision-digits", type=int, default=30,
+    ap.add_argument("--precision-digits", type=_positive_int, default=30,
                     help="p-adic working digits (default 30)")
-    ap.add_argument("--t-precision", type=int, default=40,
+    ap.add_argument("--t-precision", type=_positive_int, default=40,
                     help="power-series truncation (default 40)")
     ap.add_argument("--extra", help="JSON file mapping extra labels to a-invariants")
     sub = ap.add_subparsers(dest="command", required=True)

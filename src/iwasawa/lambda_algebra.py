@@ -147,7 +147,10 @@ class LambdaElement:
         p = int(fields["p"])
         n = int(fields.get("N", coeff_prec))
         k = int(fields.get("K", t_prec))
-        inner = text[text.index("[") + 1:text.index("]")]
+        start, end = text.find("["), text.find("]")
+        if start < 0 or end < start:
+            raise ValueError("need coeffs=[...] with both brackets")
+        inner = text[start + 1:end]
         coeffs = [int(c) for c in inner.replace(",", " ").split()] if inner.strip() else []
         return cls(p, coeffs, n, k)
 
@@ -401,14 +404,7 @@ def _mult_matrix(coeffs, modulus):
     of T^j * f mod modulus, so this is f(C) for the companion matrix C.
     """
     m = len(modulus) - 1
-    col = list(coeffs)
-    # f mod modulus: clear the top coefficient with one multiple of modulus
-    for top in range(len(col) - 1, m - 1, -1):
-        c = col.pop()
-        if c:
-            for i in range(m):
-                col[top - m + i] -= c * modulus[i]
-    col += [0] * (m - len(col))
+    col = _poly_mod(coeffs, modulus)
     cols = [col]
     for _ in range(m - 1):
         # times T: shift up, then fold the T^m coefficient back in
@@ -418,6 +414,19 @@ def _mult_matrix(coeffs, modulus):
             col = [x - c * t for x, t in zip(col, modulus)]
         cols.append(col)
     return [list(row) for row in zip(*cols)]
+
+
+def _poly_mod(coeffs, modulus):
+    """coeffs mod a monic integer polynomial of degree m: m ascending integers."""
+    m = len(modulus) - 1
+    col = list(coeffs)
+    # clear the top coefficient with one multiple of modulus
+    for top in range(len(col) - 1, m - 1, -1):
+        c = col.pop()
+        if c:
+            for i in range(m):
+                col[top - m + i] -= c * modulus[i]
+    return col + [0] * (m - len(col))
 
 
 def smith_p_valuations(matrix, p, prec):
@@ -603,11 +612,17 @@ def growth_fit(f: LambdaElement, n_max: int) -> GrowthParams:
 
     lambda0 is the stabilized free rank; lam = lambda(f) - lambda0 and mu = mu(f)
     come from mu_lambda, nu from layer n_max; the law must hold from n0 <= n_max - 1.
+    The layers come from f's Newton polygon when it decides them all, with
+    layer 1 checked against its matrix, and otherwise from quotient_order.
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     p = f.p
-    data = [quotient_order(f, n) for n in range(n_max + 1)]
+    data = _newton_layers(f, n_max)
+    if data is None:
+        data = [quotient_order(f, n) for n in range(n_max + 1)]
+    elif quotient_order(f, 1) != data[1]:
+        raise CertificateError("Newton polygon and layer matrix disagree")
     free_ranks = tuple(d[0] for d in data)
     e_values = tuple(d[1] for d in data)
     lambda0 = free_ranks[-1]
@@ -625,6 +640,51 @@ def growth_fit(f: LambdaElement, n_max: int) -> GrowthParams:
     if n0 is None or n0 > n_max - 1:
         raise StabilizationError("growth law not visible below n_max", e_values, free_ranks)
     return GrowthParams(lam, mu, nu, n0, lambda0, e_values, free_ranks)
+
+
+def _newton_layers(f: LambdaElement, n_max: int):
+    """[(0, e_n) for n = 0..n_max] from f's Newton polygon, or None.
+
+    e_n = mu p^n + sum_{k <= n} v_k (Washington, *Introduction to Cyclotomic
+    Fields*, 7.1 and 13.3): v_0 = v_p(c_0) - mu, and for k >= 1 each segment
+    of the hull of (i, v_p(c_i) - mu), i <= lambda, of length l and slope s
+    adds l * min(1, s * phi) with phi = phi(p^k), the roots of f meeting each
+    zeta - 1; at a tie s * phi = 1 the resultant with omega_k = Phi_{p^k}(1 + T)
+    decides.  Every elementary divisor of layer n divides p^(mu + v_0 + ... + v_n),
+    so the answer is the matrix path's only below p^N.  None: a layer with a
+    free part, too little precision, or lambda = 0.
+    """
+    if f.is_zero():
+        return None
+    p = f.p
+    mu, lam = mu_lambda(f)
+    c = f.lift_coeffs()
+    if c[0] == 0 or lam == 0:  # T | f; or no layer grows, so only the cap bounds n_max
+        return None
+    hull = []
+    for pt in ((i, valuation(c[i], p) - mu) for i in range(lam + 1) if c[i]):
+        # drop a last point on or above the chord from the one before it to pt
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (pt[1] - hull[-2][1])
+                                 <= (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])):
+            hull.pop()
+        hull.append(pt)
+    segs = [(b[0] - a[0], a[1] - b[1]) for a, b in zip(hull, hull[1:])]  # (length, drop)
+    v = [hull[0][1]]
+    for k in range(1, n_max + 1):
+        phi = p ** (k - 1) * (p - 1)
+        if all(drop * phi != length for length, drop in segs):
+            v.append(sum(min(length, drop * phi) for length, drop in segs))
+        else:
+            omega = [sum(col) for col in zip(*(_binomials(j * p ** (k - 1), phi + 1)
+                                               for j in range(p)))]
+            rem = _strip(_poly_mod(c, omega))
+            res = _int_resultant(omega, rem) if rem else 0
+            if res == 0:
+                return None  # omega_k divides f: layer k has a free part
+            v.append(valuation(res, p) - mu * phi)
+        if mu + sum(v) >= f.coeff_prec:  # each v_k >= 1, so this ends the loop before k = N
+            return None
+    return [(0, mu * p ** n + sum(v[:n + 1])) for n in range(n_max + 1)]
 
 
 # -- involution and functional equation ---------------------------------

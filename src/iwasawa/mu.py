@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .curves import WeierstrassCurve, _integer_cubic_roots, ec_add, ec_mul, on_curve
-from .padics import valuation
+from .padics import is_prime, valuation
 from .tate import tate_local
 
 
@@ -185,8 +185,11 @@ def mu_lower_bound(label: str, p: int, edges, curves: dict | None = None) -> MuV
     back to one of the product order on E.  For p = 2 each curve also
     contributes its own classified rational 2-torsion as a base case.
     The walk tries every simple path, so a graph with more curves
-    reachable from `label` than an isogeny class over Q holds is refused.
+    reachable from `label` than an isogeny class over Q holds is refused,
+    and so is a p that is not prime.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     by_pair = {}
     adj = {}
     for e in edges:

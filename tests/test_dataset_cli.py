@@ -369,3 +369,17 @@ def test_cli_big_prime_discriminant_and_huge_two_torsion(capsys):
     assert list(entries) == [f"({10 ** 160}, 0)"]
     # the curve is additive at 2, so the classifier refuses the point
     assert "multiplicative reduction at 2" in entries[f"({10 ** 160}, 0)"]["error"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--precision-digits", "0", "analyze", "--curve", "11a", "--p", "5"], "--precision-digits"),
+    (["--precision-digits", "-5", "euler-char", "--curve", "11a", "--p", "5"], "--precision-digits"),
+    (["--t-precision", "0", "growth", "p=3 coeffs=[-3,1]"], "--t-precision"),
+    (["--t-precision", "x", "fe", "p=3 coeffs=[3,3,1]"], "--t-precision"),
+])
+def test_cli_refuses_a_precision_below_one(argv, flag, capsys):
+    # the first two used to exit 0
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 1
+    assert f"error: argument {flag}: must be a positive integer" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -709,3 +710,142 @@ def test_growth_fit_dense_large_layers(n_max, lam, mu):
     g = growth_fit(f, n_max)
     assert (g.lam, g.mu, g.lambda0) == (lam, mu, 0)
     assert set(g.free_ranks) == {0}
+
+
+# -- growth layers from the Newton polygon ------------------------------------------
+
+def _shaped_series(rng, p, shape, n, k):
+    """p^mu * d * u mod (p^n, T^k) for one shape of the Newton-polygon tests."""
+    mod = p ** n
+    lam, mu = rng.randint(1, 4), rng.randint(0, 2 if shape == "mu" else 0)
+    d = [p * rng.randrange(1, p ** 3) for _ in range(lam)] + [1]
+    if shape == "tie":  # one segment of slope 1/lam, a tie wherever phi(p^k) = lam
+        lam = rng.choice([x for x in (1, 2, 4, 6) if x % (p - 1) == 0])
+        d = [p * rng.choice([x for x in range(1, p * p) if x % p])] + [0] * (lam - 1) + [1]
+    elif shape == "const":
+        d[0] = p ** rng.randint(2, 5) * rng.choice([1, -1])
+    elif shape == "free":  # T or omega_1 = Phi_p(1 + T) divides f, a polynomial below T^k
+        d = _poly_mul([0, 1], d) if rng.random() < 0.5 else \
+            _poly_mul(theta_poly_int(1, p)[1:], [rng.randrange(p * p) * p, 1])
+        return LambdaElement(p, [p ** mu * c for c in _poly_mul(d, [rng.choice((1, -1)), p])], n, k)
+    u = [rng.randrange(mod) for _ in range(k)]
+    while u[0] % p == 0:
+        u[0] = rng.randrange(mod)
+    return LambdaElement(p, [p ** mu * c for c in _poly_mul(d, u)[:k]], n, k)
+
+
+def _fit_or_error(f, n_max):
+    try:
+        return growth_fit(f, n_max)
+    except ArithmeticError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("shape", ["tie", "const", "mu", "small_n", "free"])
+def test_newton_layers_match_the_layer_matrices(shape, monkeypatch):
+    rng = random.Random(sum(map(ord, shape)))
+    ties = []
+    real_resultant = la._int_resultant
+    decided = 0
+    for _ in range(30):
+        p = rng.choice((2, 3, 5, 7))
+        n_max = {2: 4, 3: 3, 5: 2, 7: 2}[p]
+        f = _shaped_series(rng, p, shape, rng.randint(2, 6) if shape == "small_n" else 30,
+                           rng.randint(12, 40))
+        with monkeypatch.context() as m:
+            m.setattr(la, "_int_resultant", lambda a, b: ties.append(a) or real_resultant(a, b))
+            layers = la._newton_layers(f, n_max)
+        if layers is not None:
+            decided += 1
+            assert layers == [quotient_order(f, n) for n in range(n_max + 1)], f
+        with monkeypatch.context() as m:
+            m.setattr(la, "_newton_layers", lambda f, n_max: None)
+            by_matrices = _fit_or_error(f, n_max)
+        assert _fit_or_error(f, n_max) == by_matrices, f
+    if shape == "free":
+        assert decided == 0
+    else:  # small N leaves most elementary divisors past p^N
+        assert 0 < decided < 10 if shape == "small_n" else decided >= 25
+    assert ties or shape != "tie"
+
+
+def test_newton_layers_decide_a_tie_by_the_small_resultant():
+    # T - 2 at p = 2: the slope-1 segment ties phi(2) = 1, and f(-2) = -4
+    assert la._newton_layers(el(2, [-2, 1]), 3) == [(0, 1), (0, 3), (0, 4), (0, 5)]
+    assert la._newton_layers(el(3, [3, 3, 1]), 2) is None  # omega_1 itself: a free part
+    assert la._newton_layers(el(3, [0, 3, 1]), 2) is None  # T | f
+    assert la._newton_layers(el(3, [-3, 1], 2, 10), 2) is None  # e_2 needs p^3 > p^N
+
+
+def test_growth_fit_answers_above_the_layer_matrix_bound(capsys):
+    # p^n = 1024 is past IWASAWA_MAX_PN; only layer 1 is built as a matrix
+    g = growth_fit(el(2, [-2, 1]), 10)
+    assert g.e_values == (1, 3) + tuple(range(4, 13))
+    assert (g.lam, g.mu, g.nu, g.n0, g.lambda0) == (1, 0, 2, 1, 0)
+    assert main(["--format", "json", "growth", "p=2 coeffs=[-2,1]", "--n-max", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["e_values"][10] == 12
+    with pytest.raises(ValueError, match="exceeds the configured bound"):
+        quotient_order(el(2, [-2, 1]), 8)
+
+
+@pytest.mark.parametrize("coeffs", [[-3, 1], [9], [-9, 3]])
+def test_growth_fit_work_stays_bounded_for_a_large_n_max(coeffs):
+    # the polygon stops at the first layer sum reaching N, and lambda = 0 takes the
+    # matrix path, so a large n_max is refused at the first matrix past the cap
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the configured bound"):
+        growth_fit(el(3, coeffs), 10 ** 4)
+    assert time.perf_counter() - start < 2.0
+
+
+_BREAK_NEWTON = textwrap.dedent("""
+    from iwasawa import lambda_algebra as la
+
+    real_layers = la._newton_layers
+
+    def shifted_layers(f, n_max):
+        return [(r, e + 1) for r, e in real_layers(f, n_max)]
+""")
+
+_NEWTON_UNDER_O = _BREAK_NEWTON + textwrap.dedent("""
+    import contextlib, io
+    from iwasawa.cli import main
+
+    assert False, "asserts must be off"
+    la._newton_layers = shifted_layers
+    try:
+        la.growth_fit(la.LambdaElement(3, [-3, 1], 30, 40), 3)
+    except la.CertificateError as e:
+        print("fit:", e)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        print("growth exit", main(["growth", "p=3 coeffs=[-3,1]"]), err.getvalue().strip())
+""")
+
+
+def test_newton_layers_are_certified_by_layer_one(monkeypatch, capsys):
+    ns = {}
+    exec(_BREAK_NEWTON, ns)
+    monkeypatch.setattr(la, "_newton_layers", ns["shifted_layers"])
+    with pytest.raises(CertificateError, match="Newton polygon and layer matrix disagree"):
+        growth_fit(el(3, [-3, 1]), 3)
+    assert main(["growth", "p=3 coeffs=[-3,1]"]) == 1
+    assert capsys.readouterr().err == "error: Newton polygon and layer matrix disagree\n"
+
+
+def test_newton_layers_are_certified_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", _NEWTON_UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "fit: Newton polygon and layer matrix disagree",
+        "growth exit 1 error: Newton polygon and layer matrix disagree"]
+
+
+@pytest.mark.parametrize("text", ["p=3 coeffs=[-3,1", "p=3 coeffs=-3,1]", "p=3 coeffs=]-3,1["])
+def test_series_text_needs_both_brackets(text, capsys):
+    with pytest.raises(ValueError, match=r"coeffs=\[\.\.\.\]"):
+        LambdaElement.from_text(text)
+    assert main(["growth", text]) == 1
+    assert capsys.readouterr().err == "error: need coeffs=[...] with both brackets\n"

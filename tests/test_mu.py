@@ -304,3 +304,12 @@ def test_rational_two_torsion_close_and_huge():
     # y^2 = (x - 10^160)(x^2 - 10^320 - 2): float conversion overflowed
     big = WeierstrassCurve(0, -10 ** 160, 0, -(10 ** 320 + 2), 10 ** 160 * (10 ** 320 + 2))
     assert _rational_two_torsion_points(big) == [(10 ** 160, 0)]
+
+
+@pytest.mark.parametrize("p", [4, 1, -2])
+def test_mu_lower_bound_refuses_a_non_prime(p, capsys):
+    # each used to answer a lower bound of 0
+    with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+        mu_lower_bound("11a", p, [])
+    assert main(["mu-bound", "--curve", "11a", "--p", str(p)]) == 1
+    assert capsys.readouterr().err == f"error: {p} is not prime\n"
