@@ -173,20 +173,13 @@ def irreducibility_witness(q: int, avoid=()):
         if q == 2:
             for c in range(r):
                 for d in range(r):
-                    # no root: irreducible, hence squarefree, so E is nonsingular mod r
+                    # An irreducible cubic is squarefree, so E is nonsingular mod r, and
+                    # has no root, so E(F_r) has no point of order 2: |E(F_r)| is odd,
+                    # a_r = r + 1 - |E(F_r)| is odd and t^2 - a_r t + r is irreducible mod 2.
                     if _cubic_shape(d, c, 0, r) == (1, 0):
-                        ar = r + 1 - count_points(WeierstrassCurve(0, 0, 0, c, d), r)
-                        if ar % 2:  # t^2 - a_r t + r irreducible mod 2
-                            return r, (0, 0, 0, c, d)
-        else:
-            if legendre(-r, q) != 1:
-                for A in range(r):
-                    for B in range(r):
-                        E = _curve_mod(r, (0, 0, 0, A, B))
-                        if E is None:
-                            continue
-                        if count_points(E, r) == r + 1:  # a_r = 0
-                            return r, (0, 0, 0, A, B)
+                        return r, (0, 0, 0, c, d)
+        elif legendre(-r, q) != 1:
+            return r, deuring_search(r, 0)
 
 
 def _next_prime(n):
@@ -268,7 +261,7 @@ def _certify_irreducible(E, q, r=None):
         if rr != q and E.disc % rr:
             candidates.append(rr)
     for r_try in candidates:
-        if r_try is None or E.disc % r_try == 0:
+        if E.disc % r_try == 0:
             continue
         ar = r_try + 1 - count_points(E, r_try)
         if _frob_poly_irreducible(ar, r_try, q):
@@ -302,9 +295,8 @@ def crt_assemble(spec: ForgeSpec, seed: int = 0) -> ForgeResult:
             full[l] = (tate_local_model(l, a_star, c_star).ainvs(), t_mult[l])
         E = _combine(full)
         ledger, used = forge_verify(E, spec, witnesses)
-        if all(entry[3] for entry in ledger):
-            return ForgeResult(E, ledger, used, {m: t for m, (_, t) in full.items()})
-        if not spec.mult or all(t_mult[l] >= T_CAP for l in t_mult):
+        if (all(entry[3] for entry in ledger) or not spec.mult
+                or all(t_mult[l] >= T_CAP for l in t_mult)):
             return ForgeResult(E, ledger, used, {m: t for m, (_, t) in full.items()})
         for l in t_mult:
             t_mult[l] = min(T_CAP, 2 * t_mult[l])

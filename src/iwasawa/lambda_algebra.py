@@ -9,7 +9,7 @@ determinants all live here.
 
 from __future__ import annotations
 
-import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -19,6 +19,8 @@ from .padics import (
     CertificateError,
     PadicNumber,
     PrecisionError,
+    _poly_mod,
+    _strip,
     is_prime,
     padic_pow,
     valuation,
@@ -26,6 +28,9 @@ from .padics import (
 
 DEFAULT_COEFF_PREC = 30
 DEFAULT_T_PREC = 40
+
+#: the largest p^n whose p^n x p^n layer matrix quotient_order builds
+MAX_LAYER_PN = 128
 
 #: verdict value for equality questions the precision cannot settle
 INDETERMINATE = "indeterminate"
@@ -136,23 +141,26 @@ class LambdaElement:
 
     @classmethod
     def from_text(cls, text, coeff_prec=DEFAULT_COEFF_PREC, t_prec=DEFAULT_T_PREC):
-        """Parse `p=3 N=30 K=40 coeffs=[3,3,1]` (N, K optional)."""
+        """Parse `p=3 N=30 K=40 coeffs=[3,3,1]` (N, K optional): space-separated
+        key=value fields, each key at most once; spaces may stand inside the brackets."""
         fields = {}
-        for tok in text.replace(",", " ,").split():
-            if "=" in tok:
-                key, _, val = tok.partition("=")
-                fields[key.strip()] = val.strip()
+        # a token runs to the next space outside brackets
+        for tok in re.findall(r"(?:\[[^\]]*\]?|[^\s\[])+", text):
+            key, eq, val = tok.partition("=")
+            if not eq or key not in ("p", "N", "K", "coeffs"):
+                raise ValueError(f"series text field {tok!r} is not p=, N=, K= or coeffs=")
+            if key in fields:
+                raise ValueError(f"series text gives {key}= twice")
+            fields[key] = val
         if "p" not in fields or "coeffs" not in fields:
             raise ValueError("need p=... and coeffs=[...]")
-        p = int(fields["p"])
-        n = int(fields.get("N", coeff_prec))
-        k = int(fields.get("K", t_prec))
-        start, end = text.find("["), text.find("]")
-        if start < 0 or end < start:
+        inner = fields["coeffs"]
+        if inner[:1] != "[" or inner[-1:] != "]":
             raise ValueError("need coeffs=[...] with both brackets")
-        inner = text[start + 1:end]
-        coeffs = [int(c) for c in inner.replace(",", " ").split()] if inner.strip() else []
-        return cls(p, coeffs, n, k)
+        coeffs = [_int_field("coeffs", c) for c in inner[1:-1].replace(",", " ").split()]
+        return cls(_int_field("p", fields["p"]), coeffs,
+                   _int_field("N", fields.get("N", coeff_prec)),
+                   _int_field("K", fields.get("K", t_prec)))
 
     def __repr__(self):
         terms = []
@@ -164,6 +172,13 @@ class LambdaElement:
                 break
         body = " + ".join(terms) if terms else "0"
         return f"<{body} mod ({self.p}^{self.coeff_prec}, T^{self.t_prec})>"
+
+
+def _int_field(key, val):
+    try:
+        return int(val)
+    except ValueError:
+        raise ValueError(f"series text field {key} must be an integer, got {val!r}") from None
 
 
 def one(p, coeff_prec=DEFAULT_COEFF_PREC, t_prec=DEFAULT_T_PREC):
@@ -348,18 +363,6 @@ def _binomials(c: int, count: int):
     return out
 
 
-def max_pn_cap():
-    """The p^n bound on layer matrices: `IWASAWA_MAX_PN`, default 128."""
-    raw = os.environ.get("IWASAWA_MAX_PN", "128")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"IWASAWA_MAX_PN must be a positive integer, got {raw!r}")
-    return cap
-
-
 def quotient_order(f: LambdaElement, n: int):
     """Torsion order exponent of (Lambda/(f)) / theta_n: returns (free_rank, e_n).
 
@@ -380,9 +383,8 @@ def quotient_order(f: LambdaElement, n: int):
         raise ValueError("n must be >= 0")
     p = f.p
     m = p ** n
-    cap = max_pn_cap()
-    if m > cap:
-        raise ValueError(f"p^n = {m} exceeds the configured bound {cap}")
+    if m > MAX_LAYER_PN:
+        raise ValueError(f"p^n = {m} exceeds the configured bound {MAX_LAYER_PN}")
     th = theta_poly_int(n, p)
     fc = f.lift_coeffs()
     mat = _mult_matrix(fc, th)
@@ -414,19 +416,6 @@ def _mult_matrix(coeffs, modulus):
             col = [x - c * t for x, t in zip(col, modulus)]
         cols.append(col)
     return [list(row) for row in zip(*cols)]
-
-
-def _poly_mod(coeffs, modulus):
-    """coeffs mod a monic integer polynomial of degree m: m ascending integers."""
-    m = len(modulus) - 1
-    col = list(coeffs)
-    # clear the top coefficient with one multiple of modulus
-    for top in range(len(col) - 1, m - 1, -1):
-        c = col.pop()
-        if c:
-            for i in range(m):
-                col[top - m + i] -= c * modulus[i]
-    return col + [0] * (m - len(col))
 
 
 def smith_p_valuations(matrix, p, prec):
@@ -577,13 +566,6 @@ def _pseudo_rem(a, b):
 
 
 rational_val = valuation  # importable name kept for callers
-
-
-def _strip(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
 
 
 # -- growth law ---------------------------------------------------------

@@ -8,10 +8,11 @@ and Q(sqrt(2 + sqrt 2)) for the conductor-195 trace-kernel point.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import isqrt
 
 from .curves import WeierstrassCurve, ec_add, ec_mul, on_curve
-from .padics import factor
+from .padics import _poly_mod, _poly_mul, _strip, factor
 
 
 class NumberField:
@@ -83,11 +84,8 @@ class NumberFieldElement:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        cs = _poly_reduce(cs, field.g)
-        cs += [Fraction(0)] * (field.degree - len(cs))
         self.field = field
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(Fraction(c) for c in _poly_mod(coeffs, field.g))
 
     def _coerce(self, other):
         if isinstance(other, NumberFieldElement):
@@ -122,13 +120,7 @@ class NumberFieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        prod = [Fraction(0)] * (2 * self.field.degree)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return NumberFieldElement(self.field, prod)
+        return NumberFieldElement(self.field, _poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -137,13 +129,12 @@ class NumberFieldElement:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         r0 = [Fraction(c) for c in self.field.g]
-        r1 = list(self.coeffs)
+        r1 = _strip(self.coeffs)
         s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
+        while r1:
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        r0 = _strip(r0)
+            s0, s1 = s1, [x - y for x, y in zip_longest(s0, _poly_mul(q, s1), fillvalue=0)]
         if len(r0) != 1:
             raise ZeroDivisionError("element is a zero divisor (reducible modulus)")
         inv_lead = 1 / r0[0]
@@ -181,53 +172,18 @@ class NumberFieldElement:
         return f"NF{list(self.coeffs)}"
 
 
-def _strip(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_reduce(c, g):
-    c = list(c)
-    d = len(g) - 1
-    while len(_strip(c)) > d:
-        c = _strip(c)
-        lead = c[-1]
-        off = len(c) - 1 - d
-        for i in range(d + 1):
-            c[off + i] -= lead * g[i]
-        c = c[:-1]
-    return _strip(c)
-
-
 def _poly_divmod(a, b):
-    a = _strip(a)
-    b = _strip(b)
+    """(quotient, remainder) over Q for a, b without trailing zeros, b nonzero."""
+    a = list(a)
     q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
+    while len(a) >= len(b):
         f = a[-1] / b[-1]
         off = len(a) - len(b)
         q[off] = f
         for i in range(len(b)):
             a[off + i] -= f * b[i]
         a = _strip(a)
-    return _strip(q) or [Fraction(0)], a or [Fraction(0)]
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+    return q, a
 
 
 # -- curve points over a number field ------------------------------------

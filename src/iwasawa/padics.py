@@ -487,3 +487,36 @@ def _ilog(k, p):
     while p ** (e + 1) <= k:
         e += 1
     return e
+
+
+# -- polynomials: ascending coefficient lists over Z or Q -----------------
+
+
+def _strip(c):
+    """c without trailing zero coefficients."""
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _poly_mod(coeffs, modulus):
+    """coeffs mod a monic polynomial of degree m, as m coefficients (int or Fraction)."""
+    m = len(modulus) - 1
+    col = list(coeffs)
+    # clear the top coefficient with one multiple of modulus
+    for top in range(len(col) - 1, m - 1, -1):
+        c = col.pop()
+        if c:
+            for i in range(m):
+                col[top - m + i] -= c * modulus[i]
+    return col + [0] * (m - len(col))

@@ -69,11 +69,7 @@ def euler_char(E: WeierstrassCurve, p: int, A: GlobalAssumptions,
     elif locp.kind == "multiplicative_nonsplit":
         entries.append(("at-p", valuation(2, p), "nonsplit multiplicative factor 2"))
     elif locp.kind == "multiplicative_split":
-        q = tate_period(E, p, digits=digits or max(12, 2 * A.sel_vp + 10))
-        logq = iwasawa_log(q)
-        if logq.is_zero:
-            raise EulerCharError("log of the Tate period vanishes at working precision")
-        vlog = logq.valuation()
+        vlog = _log_period_valuation(E, p, digits or max(12, 2 * A.sel_vp + 10))
         contrib = vlog - valuation(locp.tamagawa, p) - valuation(2 * p, p)
         entries.append(("at-p", contrib,
                         f"split multiplicative: v(log q) = {vlog}, "
@@ -90,6 +86,14 @@ def euler_char(E: WeierstrassCurve, p: int, A: GlobalAssumptions,
     entries.append(("torsion", -2 * valuation(tors, p), f"|E(Q)_tors| = {tors}"))
     total = sum(c for _, c, _ in entries)
     return EulerReport(prime=p, entries=tuple(entries), total=total, notes=tuple(notes))
+
+
+def _log_period_valuation(E, p, digits):
+    """v_p(log_p q) for the Tate period q at a split multiplicative p."""
+    logq = iwasawa_log(tate_period(E, p, digits=digits))
+    if logq.is_zero:
+        raise EulerCharError("log of the Tate period vanishes at working precision")
+    return logq.valuation()
 
 
 @dataclass(frozen=True)
@@ -136,11 +140,7 @@ def local_kernels(E: WeierstrassCurve, p: int) -> dict:
             raise EulerCharError(f"supersingular at {p}")
         out[p] = p ** (2 * valuation(p + 1 - locp.a_ell, p))
     elif locp.kind == "multiplicative_split":
-        q = tate_period(E, p, digits=16)
-        logq = iwasawa_log(q)
-        if logq.is_zero:
-            raise EulerCharError("log of the Tate period vanishes at working precision")
-        out[p] = p ** (logq.valuation() - valuation(2 * p, p))
+        out[p] = p ** (_log_period_valuation(E, p, 16) - valuation(2 * p, p))
     elif locp.kind == "multiplicative_nonsplit":
         out[p] = 1 if p != 2 else 2 * 2 ** valuation(locp.tamagawa, 2)
     else:

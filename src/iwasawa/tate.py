@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import CertificateError, WeierstrassCurve, count_points
-from .padics import PadicNumber, factor, is_prime, legendre, valuation
+from .padics import PadicNumber, _poly_mod, _poly_mul, factor, is_prime, legendre, valuation
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,7 @@ def _cubic_shape(c0, c1, c2, ell):
         return 2, (9 * c0 - c2 * c1) * pow(2 * e, -1, ell) % ell
 
     def mulmod(u, v):  # u v mod (P, ell) for u, v of degree < 3
-        w = [sum(u[i] * v[k - i] for i in range(3) if 0 <= k - i < 3) for k in range(5)]
-        for k in (4, 3):  # T^k = -T^(k-3) (c2 T^2 + c1 T + c0)
-            w[k - 3:k] = w[k - 3] - w[k] * c0, w[k - 2] - w[k] * c1, w[k - 1] - w[k] * c2
-        return [x % ell for x in w[:3]]
+        return [x % ell for x in _poly_mod(_poly_mul(u, v), (c0, c1, c2, 1))]
 
     power, base, n = [1, 0, 0], [0, 1, 0], ell
     while n:

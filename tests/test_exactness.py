@@ -6,9 +6,13 @@ a true division of two integer literals, and Fraction.limit_denominator.
 Two float uses are allowed by name: the one output conversion of the
 period ratio (`round(float(ratio), 9)` in cli.cmd_tables) and the
 annotated `real_period` values of the dataset.
+
+The same parse also checks that each module-level function has one home:
+no name is defined in two modules.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -101,3 +105,12 @@ def test_guard_sees_the_float_code_it_forbids():
     assert "limit_denominator" in uses
     # only the exact output conversion inside cmd_tables is allowed
     assert uses.count("round()") == 2 and uses.count("float()") == 3
+
+
+def test_each_module_level_function_is_defined_once():
+    homes = defaultdict(list)
+    for module in MODULES:
+        for node in ast.parse((SRC / module).read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                homes[node.name].append(module)
+    assert {name: where for name, where in homes.items() if len(where) > 1} == {}

@@ -147,6 +147,33 @@ def test_irreducibility_witness_certifies(q):
         assert pow(-4 * r % q, (q - 1) // 2, q) == q - 1
 
 
+WITNESS_AVOIDS = ((), (5, 7), (5, 7, 11, 13, 17, 19, 23))
+WITNESS_PINS = {
+    2: [(5, (0, 0, 0, 1, 1)), (11, (0, 0, 0, 1, 4)), (29, (0, 0, 0, 1, 4))],
+    3: [(7, (0, 0, 0, 1, 0)), (13, (0, 0, 0, 1, 4)), (31, (0, 0, 0, 1, 0))],
+    5: [(7, (0, 0, 0, 1, 0)), (13, (0, 0, 0, 1, 4)), (37, (0, 0, 0, 1, 5))],
+    7: [(11, (0, 0, 0, 0, 1)), (11, (0, 0, 0, 0, 1)), (29, (0, 0, 0, 0, 1))],
+    11: [(5, (0, 0, 0, 0, 1)), (23, (0, 0, 0, 0, 1)), (31, (0, 0, 0, 1, 0))],
+    13: [(5, (0, 0, 0, 0, 1)), (11, (0, 0, 0, 0, 1)), (31, (0, 0, 0, 1, 0))],
+    17: [(5, (0, 0, 0, 0, 1)), (11, (0, 0, 0, 0, 1)), (29, (0, 0, 0, 0, 1))],
+}
+
+
+@pytest.mark.parametrize("q", sorted(WITNESS_PINS))
+def test_irreducibility_witness_pins(q):
+    assert [irreducibility_witness(q, set(a)) for a in WITNESS_AVOIDS] == WITNESS_PINS[q]
+
+
+def test_a_rootless_cubic_has_odd_trace():
+    # why the q = 2 witness needs no point count: no root means no 2-torsion point
+    primes = [r for r in range(5, 301) if is_prime(r)]
+    for i, r in enumerate(primes):
+        got, (_, _, _, c, d) = irreducibility_witness(2, avoid=set(primes[:i]))
+        assert got == r
+        assert all((x ** 3 + c * x + d) % r for x in range(r)), r
+        assert (r + 1 - count_points(WeierstrassCurve(0, 0, 0, c, d), r)) % 2 == 1, r
+
+
 def test_tate_local_model_split():
     E = tate_local_model(11, 1, 5)
     loc = tate_local(E, 11)

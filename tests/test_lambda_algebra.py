@@ -24,7 +24,6 @@ from iwasawa.lambda_algebra import (
     fe_solve,
     growth_fit,
     involution,
-    max_pn_cap,
     min_generators,
     mod_p_shape,
     mu_lambda,
@@ -470,26 +469,11 @@ def test_theta_truncation_flagged():
 
 
 def test_quotient_order_respects_size_cap(monkeypatch):
-    monkeypatch.setenv("IWASAWA_MAX_PN", "8")
-    with pytest.raises(ValueError, match="exceeds"):
+    monkeypatch.setattr(la, "MAX_LAYER_PN", 8)
+    with pytest.raises(ValueError, match="exceeds the configured bound 8"):
         quotient_order(el(3, [-3, 1]), 2)
-    monkeypatch.setenv("IWASAWA_MAX_PN", "9")
+    monkeypatch.setattr(la, "MAX_LAYER_PN", 9)
     assert quotient_order(el(3, [-3, 1]), 2) == (0, 3)
-
-
-def test_max_pn_cap_names_the_variable(monkeypatch):
-    for bad in ("abc", "0", "-3", "1.5"):
-        monkeypatch.setenv("IWASAWA_MAX_PN", bad)
-        with pytest.raises(ValueError, match="IWASAWA_MAX_PN"):
-            max_pn_cap()
-    monkeypatch.setenv("IWASAWA_MAX_PN", "1")
-    assert max_pn_cap() == 1
-
-
-def test_cli_reports_bad_max_pn(monkeypatch, capsys):
-    monkeypatch.setenv("IWASAWA_MAX_PN", "abc")
-    assert main(["growth", "p=3 coeffs=[-3,1]", "--n-max", "2"]) == 1
-    assert "IWASAWA_MAX_PN" in capsys.readouterr().err
 
 
 # -- certificates: a wrong answer raises CertificateError, also under python -O ----
@@ -778,13 +762,13 @@ def test_newton_layers_decide_a_tie_by_the_small_resultant():
 
 
 def test_growth_fit_answers_above_the_layer_matrix_bound(capsys):
-    # p^n = 1024 is past IWASAWA_MAX_PN; only layer 1 is built as a matrix
+    # p^n = 1024 is past MAX_LAYER_PN = 128; only layer 1 is built as a matrix
     g = growth_fit(el(2, [-2, 1]), 10)
     assert g.e_values == (1, 3) + tuple(range(4, 13))
     assert (g.lam, g.mu, g.nu, g.n0, g.lambda0) == (1, 0, 2, 1, 0)
     assert main(["--format", "json", "growth", "p=2 coeffs=[-2,1]", "--n-max", "10"]) == 0
     assert json.loads(capsys.readouterr().out)["e_values"][10] == 12
-    with pytest.raises(ValueError, match="exceeds the configured bound"):
+    with pytest.raises(ValueError, match="p\\^n = 256 exceeds the configured bound 128"):
         quotient_order(el(2, [-2, 1]), 8)
 
 
@@ -849,3 +833,24 @@ def test_series_text_needs_both_brackets(text, capsys):
         LambdaElement.from_text(text)
     assert main(["growth", text]) == 1
     assert capsys.readouterr().err == "error: need coeffs=[...] with both brackets\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p=3 tag=[9] coeffs=[-3,1]", "series text field 'tag=[9]' is not p=, N=, K= or coeffs="),
+    ("p=3 coeffs=[-3,1] p=5", "series text gives p= twice"),
+    ("p=3 N=x coeffs=[1]", "series text field N must be an integer, got 'x'"),
+    ("p=3 coeffs=[1,y]", "series text field coeffs must be an integer, got 'y'"),
+])
+def test_series_text_refuses_a_stray_repeated_or_non_integer_field(text, message, capsys):
+    with pytest.raises(ValueError) as err:
+        LambdaElement.from_text(text)
+    assert str(err.value) == message
+    assert main(["growth", text]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_series_text_takes_the_coefficients_from_their_own_field():
+    f = LambdaElement.from_text("K=12 coeffs=[ -3 , 1 ]  p=3 N=20")
+    assert f.to_text() == "p=3 N=20 K=12 coeffs=[-3,1]"
+    with pytest.raises(ValueError, match=r"need p=\.\.\. and coeffs=\[\.\.\.\]"):
+        LambdaElement.from_text("N=3 coeffs=[1]")
