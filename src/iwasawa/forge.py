@@ -11,6 +11,7 @@ verification ledger passes.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import count, product
 
@@ -29,9 +30,13 @@ class ForgeSpec:
     irreducible: tuple = ()   # primes q with E[q] to be irreducible
 
     def __post_init__(self):
-        ps = {p for p, _ in self.good}
-        ls = {l for l, _, _ in self.mult}
-        if ps & ls:
+        ps = [p for p, _ in self.good]
+        ls = [l for l, _, _ in self.mult]
+        for name, primes in (("P", ps), ("L", ls), ("Q", self.irreducible)):
+            twice = next((x for x, k in Counter(primes).items() if k > 1), None)
+            if twice is not None:
+                raise ValueError(f"{name} lists the prime {twice} more than once")
+        if set(ps) & set(ls):
             raise ValueError("P and L must be disjoint")
         for p, a in self.good:
             if not is_prime(p):
@@ -105,12 +110,15 @@ def deuring_search(p: int, a_target: int, seed: int = 0):
     seeded by (seed, p, a_target), so the answer is deterministic per
     seed and memory stays O(p).  A draw with trace -a_target is paired
     with its quadratic twist by the least nonresidue d, which has trace
-    a_target; this halves the expected number of point counts.  Each
-    `count_points` is O(p) and about sqrt(p) draws are expected, so a
-    search near SEARCH_PRIME_BOUND costs O(p^1.5): five searches at
-    p = 99971..99991 made 74 to 2400 counts of about 15 ms each and took
-    1.2 to 35 s (2 vCPUs, Intel Xeon, CPython 3.11).  After 40 p
-    nonsingular draws ForgeError is raised.
+    a_target; this halves the expected number of point counts.  For
+    p >= 5 a draw is counted only when its 2-torsion fits the target
+    (`_root_counts_fitting`), which skips over half the counts and no
+    draw that would count right.  Each `count_points` is O(p) and about
+    sqrt(p) draws are expected, so a search near SEARCH_PRIME_BOUND costs
+    O(p^1.5): five searches at p = 99971..99991 made 49 to 824 counts of
+    about 14 ms each and took 0.8 to 12 s (74 to 2400 counts and 1.0 to
+    41 s unscreened; 2 vCPUs, Intel Xeon, CPython 3.11).  After 40 p
+    nonsingular draws, screened ones included, ForgeError is raised.
     Returns integer a-invariants in [0, p).
     """
     if not is_prime(p):
@@ -132,20 +140,29 @@ def deuring_search(p: int, a_target: int, seed: int = 0):
         rng = random.Random(f"{seed}:{p}:{a_target}")
         candidates = (divmod(rng.randrange(p * p), p) for _ in count())
         d = _unit_nonsquare(p)
+    fits = _root_counts_fitting(want)
     tried = 0
     for A, B in candidates:
         E = _curve_mod(p, (0, 0, 0, A, B))
         if E is None:
             continue
-        a = p + 1 - count_points(E, p)
-        if a == a_target:
-            return (0, 0, 0, A, B)
-        if d is not None and a == -a_target:
-            return (0, 0, 0, A * d * d % p, B * d ** 3 % p)
+        if _cubic_shape(B, A, 0, p)[1] in fits:
+            a = p + 1 - count_points(E, p)
+            if a == a_target:
+                return (0, 0, 0, A, B)
+            if d is not None and a == -a_target:
+                return (0, 0, 0, A * d * d % p, B * d ** 3 % p)
         tried += 1
         if tried > 40 * p:
             break
     raise ForgeError(f"no curve with a_{p} = {a_target} after {40 * p} tries")
+
+
+def _root_counts_fitting(n):
+    """The root counts of x^3 + Ax + B mod p >= 5 that allow |E(F_p)| = n:
+    E[2](F_p) has 1, 2 or 4 points as the cubic has 0, 1 or 3 roots.  The
+    same for 2p + 2 - n, the count of the twist, so twist pairing holds."""
+    return (0,) if n % 2 else (1,) if n % 4 == 2 else (1, 3)
 
 
 def _curve_mod(p, ainvs):

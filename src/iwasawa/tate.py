@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import CertificateError, WeierstrassCurve, count_points
-from .padics import PadicNumber, _poly_mod, _poly_mul, factor, is_prime, legendre, valuation
+from .padics import PadicNumber, factor, is_prime, legendre, valuation
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,10 @@ def _cubic_shape(c0, c1, c2, ell):
 
     ell <= 3 scans F_ell: a root x is repeated when P'(x) = 0, triple when
     also c2 + 3x = 0.  Else a repeated root (disc = 0) is -c2/3 (triple)
-    when c2^2 = 3 c1, or (9 c0 - c2 c1) / (2 (c2^2 - 3 c1)) (double); a
-    squarefree P has 3 roots when T^ell = T mod P, else 1 when disc is a
-    nonresidue, else 0.
+    when c2^2 = 3 c1, or (9 c0 - c2 c1) / (2 (c2^2 - 3 c1)) (double).  A
+    squarefree P has exactly 1 root when disc is a nonresidue
+    (Stickelberger), which is tested first, so that case never forms
+    T^ell; otherwise it has 3 roots when T^ell = T mod P, else 0.
     """
     if ell <= 3:
         roots = [x for x in range(ell) if (c0 + x * (c1 + x * (c2 + x))) % ell == 0]
@@ -89,18 +90,21 @@ def _cubic_shape(c0, c1, c2, ell):
         if e % ell == 0:
             return 3, -c2 * pow(3, -1, ell) % ell
         return 2, (9 * c0 - c2 * c1) * pow(2 * e, -1, ell) % ell
-
-    def mulmod(u, v):  # u v mod (P, ell) for u, v of degree < 3
-        return [x % ell for x in _poly_mod(_poly_mul(u, v), (c0, c1, c2, 1))]
-
-    power, base, n = [1, 0, 0], [0, 1, 0], ell
-    while n:
-        if n & 1:
-            power = mulmod(power, base)
-        base, n = mulmod(base, base), n >> 1
-    if power == [0, 1, 0]:
-        return 1, 3
-    return 1, 1 if legendre(disc, ell) == -1 else 0
+    if legendre(disc, ell) == -1:
+        return 1, 1
+    # T^ell mod (P, ell) = a0 + a1 T + a2 T^2 by squarings, T^4 and T^3 reduced
+    # by T^3 = -(c2 T^2 + c1 T + c0); a set bit of ell then multiplies by T
+    a0, a1, a2 = 0, 1, 0
+    for bit in bin(ell)[3:]:
+        r1, r2, r3, r4 = 2 * a0 * a1, a1 * a1 + 2 * a0 * a2, 2 * a1 * a2, a2 * a2
+        r3 -= r4 * c2
+        r2 -= r4 * c1 + r3 * c2
+        a0 = (a0 * a0 - r3 * c0) % ell
+        a1 = (r1 - r4 * c0 - r3 * c1) % ell
+        a2 = r2 % ell
+        if bit == "1":
+            a0, a1, a2 = -a2 * c0 % ell, (a0 - a2 * c1) % ell, (a1 - a2 * c2) % ell
+    return 1, 3 if (a0, a1, a2) == (0, 1, 0) else 0
 
 
 def _singular_point(E: WeierstrassCurve, ell):

@@ -238,6 +238,18 @@ def test_cli_forge_refuses_malformed_specs(tmp_path, capsys, spec):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"P": [[61, 3], [61, 5]]}, "P lists the prime 61 more than once"),
+    ({"P": [[61, 3], [61, 3]]}, "P lists the prime 61 more than once"),
+    ({"P": [[61, 3]], "Q": [2, 2]}, "Q lists the prime 2 more than once"),
+], ids=["two-traces", "same-trace", "Q"])
+def test_cli_forge_refuses_a_prime_listed_twice(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["forge", "--spec", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 _EDGE = {"from": "768d3", "to": "768d1", "degree": 5,
          "kernel": {"order": 5, "ramified": True, "odd": True, "provenance": "input"}}
 

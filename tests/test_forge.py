@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from math import isqrt
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ from iwasawa.forge import (
     ForgeError,
     ForgeSpec,
     _combine,
+    _root_counts_fitting,
     crt_assemble,
     deuring_search,
     forge_verify,
@@ -19,7 +21,9 @@ from iwasawa.forge import (
     tate_local_model,
 )
 from iwasawa.padics import is_prime
-from iwasawa.tate import tate_local
+from iwasawa.tate import _cubic_shape, tate_local
+
+import deuring_oracle
 
 
 def test_deuring_examples():
@@ -100,6 +104,49 @@ def test_deuring_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20   # a p^2 candidate list would take about 3 MB
+
+
+def test_two_torsion_screen_is_sound_on_every_short_curve():
+    # every nonsingular y^2 = x^3 + Ax + B over F_p, 5 <= p <= 61: the root
+    # count is exact, and the screen accepts the curve's own point count
+    for p in (q for q in range(5, 62) if is_prime(q)):
+        for A in range(p):
+            for B in range(p):
+                if (4 * A ** 3 + 27 * B * B) % p == 0:
+                    continue
+                roots = sum(1 for x in range(p) if (x * x * x + A * x + B) % p == 0)
+                assert _cubic_shape(B, A, 0, p) == (1, roots), (A, B, p)
+                n = count_points(WeierstrassCurve(0, 0, 0, A, B), p)
+                assert roots in _root_counts_fitting(n), (A, B, p)
+                assert _root_counts_fitting(2 * p + 2 - n) == _root_counts_fitting(n)
+
+
+def test_deuring_screen_matches_the_unscreened_oracle(monkeypatch):
+    # the screen only skips draws that cannot count right, so the first draw
+    # that does is the same, and the screened search counts no more often
+    counts = {"screened": 0, "oracle": 0}
+
+    def spy(side):
+        def counted(E, p):
+            counts[side] += 1
+            return count_points(E, p)
+        return counted
+
+    monkeypatch.setattr(forge, "count_points", spy("screened"))
+    monkeypatch.setattr(deuring_oracle, "count_points", spy("oracle"))
+    rng = random.Random(20)
+    primes = [p for p in range(5, 1600) if is_prime(p)]
+    totals = {"screened": 0, "oracle": 0}
+    for _ in range(320):
+        p = rng.choice(primes)
+        a = rng.randrange(-isqrt(4 * p - 1), isqrt(4 * p - 1) + 1)
+        seed = rng.randrange(10 ** 6)
+        counts.update(screened=0, oracle=0)
+        assert deuring_search(p, a, seed) == deuring_oracle.deuring_search(p, a, seed), (p, a, seed)
+        assert counts["screened"] <= counts["oracle"], (p, a, seed)
+        for side in totals:
+            totals[side] += counts[side]
+    assert totals["screened"] < totals["oracle"]
 
 
 def test_deuring_cap_raises_forge_error(monkeypatch):
@@ -213,6 +260,19 @@ def test_spec_validation():
         ForgeSpec(mult=((3, -1, 3),))
     with pytest.raises(ValueError):
         ForgeSpec(mult=((3, 2, 1),))
+
+
+@pytest.mark.parametrize("fields, name, prime", [
+    ({"good": ((61, 3), (61, 5))}, "P", 61),
+    ({"good": ((61, 3), (61, 3))}, "P", 61),
+    ({"mult": ((3, 1, 2), (5, 1, 1), (3, -1, 1))}, "L", 3),
+    ({"irreducible": (2, 5, 2)}, "Q", 2),
+], ids=["P-two-traces", "P-same-trace", "L", "Q"])
+def test_spec_refuses_a_prime_listed_twice(fields, name, prime):
+    # each clause of a prime would be searched and checked on its own, so
+    # two traces at one prime cannot both hold and the ledger fails
+    with pytest.raises(ValueError, match=f"^{name} lists the prime {prime} more than once$"):
+        ForgeSpec(**fields)
 
 
 def test_crt_roundtrip_seeded_sweep():
