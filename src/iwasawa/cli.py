@@ -241,13 +241,12 @@ def cmd_fe(args):
 
 def _small_lift(c):
     """Symmetric lift of a p-adic integer when small, else its repr."""
+    from .padics import centered
     if c.is_zero:
         return 0
-    mod = c.p ** c.abs_prec
-    r = (c.p ** c.v * c.u) % mod if c.v >= 0 else None
-    if r is None:
+    if c.v < 0:
         return repr(c)
-    lift = r - mod if r > mod // 2 else r
+    lift = centered(c.p ** c.v * c.u, c.p ** c.abs_prec)
     return lift if abs(lift) < 10 ** 6 else repr(c)
 
 
@@ -348,15 +347,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text):
-    """argparse type of the precision flags; argparse names the flag on error."""
+def _checked_int(text, what, test):
+    """int(text) when it passes `test`, else an argparse error that names the flag."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+        value = None
+    if value is None or not test(value):
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
     return value
+
+
+def _positive_int(text):
+    """argparse type of the precision flags."""
+    return _checked_int(text, "a positive integer", lambda value: value >= 1)
+
+
+def _prime(text):
+    """argparse type of --p."""
+    from .padics import is_prime
+    return _checked_int(text, "a prime", is_prime)
 
 
 def build_parser():
@@ -373,7 +383,7 @@ def build_parser():
     def curve_opts(s):
         s.add_argument("--curve", help="dataset label, e.g. 11a or 915a1")
         s.add_argument("--ainvs", help="JSON list [a1,a2,a3,a4,a6]")
-        s.add_argument("--p", type=int, required=True)
+        s.add_argument("--p", type=_prime, required=True)
 
     s = sub.add_parser("analyze", help="full report for one curve at one prime")
     curve_opts(s)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-from .padics import CertificateError, factor, is_prime, valuation
+from .padics import CertificateError, centered, factor, is_prime, valuation
 
 
 class SingularCurveError(ValueError):
@@ -341,9 +341,7 @@ def _lifted_torsion(E, bound):
     a = tuple(Fraction(v) for v in E.ainvs())
     found = {}  # Y >= 0 -> {X: d}
     for xbar, d in _orders_mod_q(A % q, B % q, q, bound):
-        X = _hensel_root(d, xbar, A, B, q, m)
-        if 2 * X > m:
-            X -= m
+        X = centered(_hensel_root(d, xbar, A, B, q, m), m)
         rhs = (X * X + A) * X + B
         Y = isqrt(rhs) if rhs >= 0 else -1
         if Y * Y == rhs and ec_mul(a, d, E.from_short_point((X, Y))) is None:

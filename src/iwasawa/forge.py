@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import count, product
 
 from .curves import WeierstrassCurve, count_points, quadratic_twist
-from .padics import is_prime, legendre
+from .padics import centered, is_prime, legendre
 from .tate import _cubic_shape, tate_local
 
 SEARCH_PRIME_BOUND = 10 ** 5
@@ -143,11 +143,10 @@ def deuring_search(p: int, a_target: int, seed: int = 0):
     fits = _root_counts_fitting(want)
     tried = 0
     for A, B in candidates:
-        E = _curve_mod(p, (0, 0, 0, A, B))
-        if E is None:
+        if (4 * A ** 3 + 27 * B * B) % p == 0:  # singular mod p >= 5
             continue
         if _cubic_shape(B, A, 0, p)[1] in fits:
-            a = p + 1 - count_points(E, p)
+            a = p + 1 - count_points(WeierstrassCurve(0, 0, 0, A, B), p)
             if a == a_target:
                 return (0, 0, 0, A, B)
             if d is not None and a == -a_target:
@@ -334,8 +333,7 @@ def _combine(models):
             mt = m ** t
             rest = M // mt
             resid += model[i] * rest * pow(rest, -1, mt)
-        resid %= M
-        ainvs.append(resid - M if resid > M // 2 else resid)
+        ainvs.append(centered(resid, M))
     for _ in range(8):
         try:
             return WeierstrassCurve(*ainvs)

@@ -21,6 +21,7 @@ from .padics import (
     PrecisionError,
     _poly_mod,
     _strip,
+    centered,
     is_prime,
     padic_pow,
     valuation,
@@ -128,7 +129,7 @@ class LambdaElement:
     def lift_coeffs(self):
         """Symmetric integer representatives, which recover small exact inputs."""
         mod = self.p ** self.coeff_prec
-        return [c - mod if c > mod // 2 else c for c in self.coeffs]
+        return [centered(c, mod) for c in self.coeffs]
 
     # -- text form -----------------------------------------------------
 
@@ -310,16 +311,24 @@ def associates_check(f: LambdaElement, g: LambdaElement):
     """True if (f) = (g) as ideals; may return INDETERMINATE on precision loss."""
     if f.is_zero() or g.is_zero():
         raise ZeroAtPrecision("associates_check needs nonzero inputs")
+    pair = _prepared_pair(f, g)
+    return pair if pair is INDETERMINATE else pair is not None
+
+
+def _prepared_pair(f: LambdaElement, g: LambdaElement):
+    """Weierstrass preparations of f and g compared: INDETERMINATE when the
+    precision runs out, None when mu or d differ at their joint precision
+    n (so (f) != (g)), else (n, d_f, u_f, u_g)."""
     try:
-        mu_f, d_f, _ = weierstrass_prepare(f)
-        mu_g, d_g, _ = weierstrass_prepare(g)
+        mu_f, d_f, u_f = weierstrass_prepare(f)
+        mu_g, d_g, u_g = weierstrass_prepare(g)
     except (PrecisionError, TPrecisionError):
         return INDETERMINATE
-    if mu_f != mu_g or d_f.degree != d_g.degree:
-        return False
     n = min(d_f.coeff_prec, d_g.coeff_prec)
-    mod = f.p ** n
-    return all((a - b) % mod == 0 for a, b in zip(d_f.coeffs, d_g.coeffs))
+    if (mu_f != mu_g or d_f.degree != d_g.degree
+            or any((a - b) % f.p ** n for a, b in zip(d_f.coeffs, d_g.coeffs))):
+        return None
+    return n, d_f, u_f, u_g
 
 
 def mod_p_shape(f: LambdaElement) -> int:
@@ -702,11 +711,7 @@ def evaluate_Lp(f: LambdaElement, s, kappa_gamma: PadicNumber) -> PadicNumber:
         raise ValueError("kappa(gamma) must topologically generate the principal units")
     if not isinstance(s, PadicNumber):
         s = PadicNumber.from_rational(p, s, kappa_gamma.n)
-    t = s - 1
-    if t.is_zero:
-        tval = PadicNumber.zero(p, t.abs_prec + q_val)
-    else:
-        tval = padic_pow(kappa_gamma, t) - 1
+    tval = padic_pow(kappa_gamma, s - 1) - 1
     acc = PadicNumber.zero(p, f.coeff_prec)
     for c in reversed(f.coeffs):
         acc = acc * tval + _coeff_padic(p, c, f.coeff_prec)
@@ -739,14 +744,10 @@ def fe_solve(f: LambdaElement):
     if f.is_zero():
         raise ZeroAtPrecision("fe_solve needs nonzero input")
     g = involution(f)
-    try:
-        mu_f, d_f, u_f = weierstrass_prepare(f)
-        mu_g, d_g, u_g = weierstrass_prepare(g)
-    except (PrecisionError, TPrecisionError):
-        return INDETERMINATE
-    n_cert = min(d_f.coeff_prec, d_g.coeff_prec)
-    if mu_f != mu_g or any((a - b) % f.p ** n_cert for a, b in zip(d_f.coeffs, d_g.coeffs)):
-        return None
+    pair = _prepared_pair(f, g)
+    if pair is INDETERMINATE or pair is None:
+        return pair
+    n_cert, d_f, u_f, u_g = pair
     p = f.p
     ratio = _divide(u_g, u_f)
     mod = p ** n_cert
@@ -759,7 +760,7 @@ def fe_solve(f: LambdaElement):
         return None
     x = ratio if w == 1 else -ratio
     c_res = x.coeffs[1] % mod if x.t_prec > 1 else 0
-    c_lift = c_res - mod if c_res > mod // 2 else c_res
+    c_lift = centered(c_res, mod)
     # exact certification: iota(f) == w * (1+T)^c * f
     w_pow = LambdaElement(p, [w * b for b in _binomials(c_lift, f.t_prec)],
                           f.coeff_prec, f.t_prec)

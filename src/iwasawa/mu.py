@@ -94,6 +94,8 @@ class TwoIsogeny:
     codomain: WeierstrassCurve
     kernel_x: Fraction       # x of the kernel point on the domain
     _shift: int              # X-translation used on the scaled model
+    a: int                   # the translated scaled domain is y^2 = x (x^2 + a x + b)
+    b: int
 
     def push(self, P):
         """Image of a rational point under the isogeny."""
@@ -103,18 +105,9 @@ class TwoIsogeny:
         x4 -= self._shift
         if x4 == 0 and y8 == 0:
             return None
-        _, b = self._ab()
         xi = (y8 * y8) / (x4 * x4)
-        yi = y8 * (x4 * x4 - b) / (x4 * x4)
+        yi = y8 * (x4 * x4 - self.b) / (x4 * x4)
         return (xi, yi)
-
-    def _ab(self):
-        # the translated scaled domain is y^2 = x (x^2 + a x + b)
-        E = self.domain
-        sh = self._shift
-        a = Fraction(3 * sh + E.b2)
-        b = Fraction(3 * sh * sh + 2 * E.b2 * sh + 8 * E.b4)
-        return a, b
 
 
 def _quadruple_coords(E, P):
@@ -142,7 +135,7 @@ def velu_2isogeny(E: WeierstrassCurve, P):
     a = 3 * sh + E.b2
     b = 3 * sh * sh + 2 * E.b2 * sh + 8 * E.b4
     cod = WeierstrassCurve(0, -2 * a, 0, a * a - 4 * b, 0)
-    return cod, TwoIsogeny(E, cod, Fraction(P[0]), sh)
+    return cod, TwoIsogeny(E, cod, Fraction(P[0]), sh, a, b)
 
 
 def dual_composition_is_doubling(E, P, samples):
@@ -153,8 +146,7 @@ def dual_composition_is_doubling(E, P, samples):
     """
     cod, phi = velu_2isogeny(E, P)
     _, psi = velu_2isogeny(cod, (Fraction(0), Fraction(0)))
-    a, b = phi._ab()
-    dom = (Fraction(0), Fraction(a), Fraction(0), Fraction(b), Fraction(0))
+    dom = (Fraction(0), Fraction(phi.a), Fraction(0), Fraction(phi.b), Fraction(0))
     for R in samples:
         if R is None:
             continue
@@ -249,11 +241,7 @@ def _log_order(order, p):
 def _rational_two_torsion_points(E):
     """Rational points of order 2, ascending in x: integer roots X of the
     scaled model's cubic, mapped back by x = (X - 3 b2) / 36."""
-    out = []
-    for X in sorted(_integer_cubic_roots(*E.short_model())):
-        x = Fraction(X - 3 * E.b2, 36)
-        out.append((x, -(E.a1 * x + E.a3) / 2))
-    return out
+    return [E.from_short_point((X, 0)) for X in sorted(_integer_cubic_roots(*E.short_model()))]
 
 
 def mu_zero_certificate(E: WeierstrassCurve, p: int, kernel: KernelClass) -> MuVerdict:

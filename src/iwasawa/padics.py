@@ -83,6 +83,12 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def centered(x: int, m: int) -> int:
+    """The representative of x mod m in (-m/2, m/2]."""
+    x %= m
+    return x - m if x > m // 2 else x
+
+
 TRIAL_BOUND = 1000
 RHO_BUDGET = 1 << 20
 
@@ -382,7 +388,7 @@ def unit_decompose(x: PadicNumber):
 
     q = p for odd p and q = 4 for p = 2, where the torsion part of the
     unit group is {+1, -1}.  The Teichmuller representative for odd p is
-    the fixed point of a -> a^p.
+    u^(p^(n-1)) mod p^n, the fixed point of a -> a^p.
     """
     if x.is_zero or x.v != 0:
         raise ValueError("unit_decompose needs a unit (valuation 0)")
@@ -394,11 +400,7 @@ def unit_decompose(x: PadicNumber):
         sign = 1 if x.u % 4 == 1 else -1
         teich = PadicNumber(p, 0, sign % mod, n, _checked=True)
     else:
-        a = x.u % mod
-        prev = None
-        while a != prev:
-            prev, a = a, pow(a, p, mod)
-        teich = PadicNumber(p, 0, a, n, _checked=True)
+        teich = PadicNumber(p, 0, pow(x.u, p ** (n - 1), mod), n, _checked=True)
     principal = x * teich.inverse()
     return teich, principal
 
@@ -428,7 +430,9 @@ def _log_one_plus(t: PadicNumber) -> PadicNumber:
     guard = 2
     while p ** guard < target + guard:
         guard += 1
-    work = _extend(t, target + guard - t.v)
+    # the unit part is an exact residue, so more digits only re-label it;
+    # the result is truncated back to the honest target
+    work = PadicNumber(p, t.v, t.u, target + guard - t.v, _checked=True)
     acc = PadicNumber.zero(p, target + guard)
     power = work
     k = 1
@@ -443,43 +447,21 @@ def _log_one_plus(t: PadicNumber) -> PadicNumber:
     return result
 
 
-def padic_exp(t: PadicNumber) -> PadicNumber:
-    """exp(t) for v(t) >= 1 (odd p) or v(t) >= 2 (p = 2); padic_pow uses it."""
-    p = t.p
-    if t.is_zero:
-        return PadicNumber(p, 0, 1, max(t.abs_prec, 1), _checked=True)
-    if t.v < 1 or (p == 2 and t.v < 2):
-        raise ValueError("exp series diverges for this valuation")
-    target = t.abs_prec
-    guard = 2
-    while p ** guard < (p - 1) * target:
-        guard += 1
-    work = _extend(t, target + guard - t.v)
-    acc = PadicNumber.from_rational(p, 1, target + guard)
-    term = acc
-    k = 0
-    # every term with index > k has valuation >= (k+1)*v(t) - k/(p-1),
-    # so stop only once that bound clears the target
-    while (k + 1) * t.v * (p - 1) - k < target * (p - 1):
-        k += 1
-        term = term * work / PadicNumber.from_rational(p, k, work.n)
-        tv = term.valuation()
-        if tv is not None and tv < target + guard:
-            acc = acc + term
-    return acc._truncate_abs(target)
-
-
 def padic_pow(x: PadicNumber, t: PadicNumber) -> PadicNumber:
-    """x^t = exp(t * log x) for x a principal unit, t in Z_p."""
-    return padic_exp(t * _log_one_plus(x - 1))
+    """x^t for x a principal unit and t in Z_p, by one modular power.
 
-
-def _extend(x: PadicNumber, n):
-    # Unit parts are exact residues, so "extending" only re-labels known
-    # digits; safe because callers then truncate back to the honest target.
-    if x.is_zero or n <= x.n:
-        return x
-    return PadicNumber(x.p, x.v, x.u, n, _checked=True)
+    With w = v(x - 1), x^(p^k) = 1 mod p^(w + k); so the digits of x fix
+    x^t = x^(p^v(t) u(t)) modulo p^(n(x) + v(t)), those of t modulo
+    p^(abs(t) + w), and the result is known modulo the smaller power.
+    """
+    p = x.p
+    d = x - 1
+    if not d.is_zero and d.v < (2 if p == 2 else 1):
+        raise ValueError("x^t needs a principal unit x")
+    if t.v < 0:
+        raise ValueError(f"x^t needs t in Z_p, got valuation {t.v}")
+    a = min(x.n + t.v, t.abs_prec + d.v)
+    return PadicNumber(p, 0, pow(x.u, p ** t.v * t.u, p ** a), a, _checked=True)
 
 
 def _ilog(k, p):

@@ -126,26 +126,17 @@ def isogeny_euler_consistency(E1, E2, p, A: GlobalAssumptions,
 def local_kernels(E: WeierstrassCurve, p: int) -> dict:
     """Orders of the layer-restriction kernels, place by place.
 
-    Bad ell != p contribute the p-part of c_ell; at p: the square of the
-    p-part of |E~(F_p)| (good ordinary), the valuation of log_p(q)/2p
-    (split multiplicative), and 1 resp. 2 c_2-part (nonsplit, p odd/2).
+    Read off the `euler_char` ledger, whose refusals carry over: bad
+    ell != p contribute the p-part of c_ell, and p its at-p entry plus
+    v_p(c_p): the squared p-part of |E~(F_p)| (good ordinary), p^v for
+    v = v_p(log_p(q)/2p) (split multiplicative), and 1 resp. 2 c_2-part
+    (nonsplit, p odd/2).
     """
-    out = {}
-    for ell in bad_primes(E):
-        if ell != p:
-            out[ell] = p ** valuation(tate_local(E, ell).tamagawa, p)
-    locp = tate_local(E, p)
-    if locp.kind == "good":
-        if locp.supersingular:
-            raise EulerCharError(f"supersingular at {p}")
-        out[p] = p ** (2 * valuation(p + 1 - locp.a_ell, p))
-    elif locp.kind == "multiplicative_split":
-        out[p] = p ** (_log_period_valuation(E, p, 16) - valuation(2 * p, p))
-    elif locp.kind == "multiplicative_nonsplit":
-        out[p] = 1 if p != 2 else 2 * 2 ** valuation(locp.tamagawa, 2)
-    else:
-        raise EulerCharError(f"additive reduction at {p}: kernel order not modeled")
-    return out
+    report = euler_char(E, p, GlobalAssumptions(), digits=16)
+    v = {int(pl[len("tamagawa "):]): c for pl, c, _ in report.entries
+         if pl.startswith("tamagawa ")}
+    v[p] = report.contribution("at-p") + v.pop(p, 0)
+    return {ell: p ** c for ell, c in v.items()}
 
 
 # -- vanishing / infinitude criteria ----------------------------------------

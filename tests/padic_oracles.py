@@ -1,14 +1,15 @@
 """Earlier forms of `tate_period`, `involution`, series division,
-(1+T)^c and `min_generators`, kept as the oracles the library versions
-are tested against.
+(1+T)^c, `min_generators` and the p-adic exponential, kept as the oracles
+the library versions are tested against.
 
 `tate_period` iterates q <- 1 / (j - sum c_n q^n) on PadicNumber objects
 and re-substitutes through the same q-expansion; `involution` composes f
 with (1+T)^(-1) - 1 by Horner's rule, one truncated product per
 coefficient; `series_inverse` doubles by Newton's step x <- x(2 - fx) and
 `int_power` powers by squaring, both on truncated products;
-`min_generators` eliminates over F_p by hand.  All are slow but share no
-shortcut with `src/`.
+`min_generators` eliminates over F_p by hand; `padic_exp` sums the
+exponential series, so exp(t log x) checks `padic_pow`.  All are slow but
+share no shortcut with `src/`.
 """
 
 from iwasawa.lambda_algebra import LambdaElement, TPrecisionError, one
@@ -109,3 +110,29 @@ def min_generators(pres):
         rank += 1
         col += 1
     return r - rank
+
+
+def padic_exp(t):
+    """exp(t) for v(t) >= 1 (odd p) or v(t) >= 2 (p = 2), by its series."""
+    p = t.p
+    if t.is_zero:
+        return PadicNumber(p, 0, 1, max(t.abs_prec, 1))
+    if t.v < 1 or (p == 2 and t.v < 2):
+        raise ValueError("exp series diverges for this valuation")
+    target = t.abs_prec
+    guard = 2
+    while p ** guard < (p - 1) * target:
+        guard += 1
+    # the unit part is an exact residue, so more digits only re-label it
+    work = PadicNumber(p, t.v, t.u, target + guard - t.v)
+    acc = term = PadicNumber.from_rational(p, 1, target + guard)
+    k = 0
+    # every term with index > k has valuation >= (k+1)*v(t) - k/(p-1),
+    # so stop only once that bound clears the target
+    while (k + 1) * t.v * (p - 1) - k < target * (p - 1):
+        k += 1
+        term = term * work / PadicNumber.from_rational(p, k, work.n)
+        tv = term.valuation()
+        if tv is not None and tv < target + guard:
+            acc = acc + term
+    return acc._truncate_abs(target)

@@ -360,14 +360,28 @@ def test_cli_report_shapes(capsys):
     ["euler-char", "--curve", "11a", "--p", "5", "--sel-order", "0"],
     ["euler-char", "--curve", "11a", "--p", "5", "--sel-order", "-5"],
     ["analyze", "--curve", "11a", "--p", "5", "--sel-order", "0"],
-    ["euler-char", "--curve", "11a", "--p", "1"],
-    ["criteria", "--curve", "11a", "--p", "1"],
-    ["mu-bound", "--curve", "768d3", "--p", "1"],
 ])
 def test_cli_rejects_bad_sel_order_and_prime(argv, capsys):
     # each of these used to loop forever in a private valuation loop
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["euler-char", "--curve", "11a", "--p", "1"],
+    ["criteria", "--curve", "11a", "--p", "1"],
+    ["mu-bound", "--curve", "768d3", "--p", "1"],
+    ["criteria", "--curve", "11a", "--p", "0"],
+    ["analyze", "--curve", "11a", "--p", "4"],
+    ["euler-char", "--curve", "11a", "--p", "x"],
+])
+def test_cli_refuses_a_non_prime_p(argv, capsys):
+    # the first three once looped forever in a private valuation loop, and
+    # then said "valuation needs a base p >= 2" without naming the flag
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 1
+    assert f"error: argument --p: must be a prime, got '{argv[-1]}'" in capsys.readouterr().err
 
 
 def test_cli_big_prime_discriminant_and_huge_two_torsion(capsys):

@@ -150,10 +150,18 @@ def test_deuring_screen_matches_the_unscreened_oracle(monkeypatch):
 
 
 def test_deuring_cap_raises_forge_error(monkeypatch):
+    # for p >= 5 every nonsingular draw reaches the 2-torsion screen once and
+    # counts toward the cap, screened out or not; the 40 p + 1-th ends the
+    # search.  p = 3 enumerates long models and never screens
+    shapes = []
     monkeypatch.setattr(forge, "count_points", lambda E, p: 0)
-    for p in (3, 59, 61):
+    monkeypatch.setattr(forge, "_cubic_shape", lambda *a: shapes.append(a) or _cubic_shape(*a))
+    for p in (3, 59, 61, 211):
+        shapes.clear()
         with pytest.raises(ForgeError):
             deuring_search(p, 1)
+        assert len(shapes) == (0 if p == 3 else 40 * p + 1)
+        assert all((4 * A ** 3 + 27 * B * B) % p for B, A, _, _ in shapes)
 
 
 def test_tate_local_model_mismatch_raises(monkeypatch):

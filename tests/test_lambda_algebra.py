@@ -295,6 +295,13 @@ def test_evaluate_Lp_rejects_bad_kappa():
         evaluate_Lp(el(5, [0, 1]), 2, PadicNumber.from_rational(5, 26))  # 1 + 25
 
 
+def test_evaluate_Lp_refuses_s_outside_Z_p():
+    # s - 1 = -4/5 has valuation -1, so kappa^(s-1) is not defined
+    with pytest.raises(ValueError, match="^x\\^t needs t in Z_p, got valuation -1$"):
+        evaluate_Lp(el(5, [0, 1]), PadicNumber.from_rational(5, Fraction(1, 5)),
+                    PadicNumber.from_rational(5, 6))
+
+
 def test_fe_solutions():
     w, c = fe_solve(el(5, [0, 1]))
     assert w == -1 and c == -1
@@ -308,6 +315,21 @@ def test_fe_solutions():
 
 def test_fe_no_solution():
     assert fe_solve(el(3, [-3, 1])) is None
+
+
+def test_fe_solve_answers_a_non_integer_exponent_at_reduced_precision():
+    # f = (1+T)^(-1/4) (3+T) iota(3+T) has iota(f) = (1+T)^(1/2) f.  No small
+    # integer lift of c = 1/2 passes the exact check, so the derivative
+    # relation answers, at the precision 3^18 of the prepared polynomials
+    mod = 3 ** 30
+    coeffs, b = [], Fraction(1)
+    for k in range(40):
+        coeffs.append(b.numerator * pow(b.denominator, -1, mod) % mod)
+        b *= (Fraction(-1, 4) - k) / (k + 1)
+    g = el(3, [3, 1])
+    w, c = fe_solve(el(3, coeffs) * g * involution(g))
+    assert w == 1
+    assert c.abs_prec == 18 and c.residue(18) == pow(2, -1, 3 ** 18)
 
 
 def _fe_with_both_checks(text):

@@ -308,8 +308,12 @@ def test_rational_two_torsion_close_and_huge():
 
 @pytest.mark.parametrize("p", [4, 1, -2])
 def test_mu_lower_bound_refuses_a_non_prime(p, capsys):
-    # each used to answer a lower bound of 0
+    # each used to answer a lower bound of 0; the CLI's --p now refuses it
+    # before the library sees it, naming the flag
     with pytest.raises(ValueError, match=f"^{p} is not prime$"):
         mu_lower_bound("11a", p, [])
-    assert main(["mu-bound", "--curve", "11a", "--p", str(p)]) == 1
-    assert capsys.readouterr().err == f"error: {p} is not prime\n"
+    with pytest.raises(SystemExit) as stop:
+        main(["mu-bound", "--curve", "11a", "--p", str(p)])
+    assert stop.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        f"iwasawa mu-bound: error: argument --p: must be a prime, got '{p}'\n")

@@ -8,15 +8,16 @@ from iwasawa.padics import (
     FactorizationError,
     PadicNumber,
     PrimeMismatchError,
+    centered,
     factor,
     is_prime,
     iwasawa_log,
     legendre,
-    padic_exp,
     padic_pow,
     unit_decompose,
     valuation,
 )
+from padic_oracles import padic_exp
 
 
 def test_inverse_pair():
@@ -162,6 +163,44 @@ def test_padic_pow_matches_integer_power():
         assert padic_pow(kappa, PadicNumber.from_rational(5, k)) == 6 ** k
     kappa2 = PadicNumber.from_rational(2, 5)
     assert padic_pow(kappa2, PadicNumber.from_rational(2, 3)) == 125
+
+
+def test_padic_pow_is_exp_of_t_log_x():
+    # one modular power against the exponential series of the oracle, in
+    # (v, n, u): value and precision both
+    rng = random.Random(22)
+    for i in range(160):
+        p = rng.choice((2, 3, 5, 7))
+        q = 2 if p == 2 else 1
+        n = rng.randrange(q + 1, 20)
+        x = PadicNumber(p, 0, 1 + p ** q * rng.randrange(p ** (n - q)), n)
+        if i % 10 == 0:
+            t = PadicNumber.zero(p, rng.randrange(0, 6))
+        else:
+            tn = rng.randrange(1, 20)
+            u = rng.randrange(1, p ** tn)
+            t = PadicNumber(p, rng.randrange(0, 5), u + (u % p == 0), tn)
+        want = padic_exp(t * iwasawa_log(x))
+        got = padic_pow(x, t)
+        assert (got.v, got.n, got.u) == (want.v, want.n, want.u), (x, t)
+
+
+def test_padic_pow_refuses_outside_its_domain():
+    with pytest.raises(ValueError, match="^x\\^t needs t in Z_p, got valuation -1$"):
+        padic_pow(PadicNumber.from_rational(5, 6), PadicNumber.from_rational(5, Fraction(1, 5)))
+    for p, x in ((5, 2), (2, 3)):  # 3 = 1 + 2 is no principal unit of Z_2
+        with pytest.raises(ValueError, match="^x\\^t needs a principal unit x$"):
+            padic_pow(PadicNumber.from_rational(p, x), PadicNumber.from_rational(p, 3))
+
+
+def test_centered_picks_the_residue_in_the_half_open_interval():
+    for m in (2, 3, 9, 10, 3 ** 5, 2 ** 7):
+        h = m // 2
+        assert centered(h, m) == h and centered(h + 1, m) == h + 1 - m
+        assert centered(-h, m) == (h if m % 2 == 0 else -h)  # -m/2 itself is left out
+        for x in range(-2 * m, 2 * m):
+            c = centered(x, m)
+            assert (c - x) % m == 0 and -m < 2 * c <= m, (x, m)
 
 
 # -- the integer kernel: valuation, Legendre symbol, factor ----------------

@@ -96,6 +96,18 @@ def test_local_kernels():
     # nonsplit multiplicative at p odd has trivial kernel
     k915 = local_kernels(E["915a1"], 3)
     assert k915[3] == 1
+    # 34a1 is split at 2 with c_2 = 6, and 306b3 nonsplit at 2 with c_2 = 2:
+    # p's kernel is its at-p entry plus v_p(c_p), and p comes last
+    assert list(local_kernels(E["34a1"], 2).items()) == [(17, 1), (2, 8)]
+    assert list(local_kernels(WeierstrassCurve(1, -1, 0, -927, 11097), 2).items()) == [
+        (3, 2), (17, 1), (2, 4)]
+
+
+def test_local_kernels_refuse_as_the_ledger_does():
+    with pytest.raises(SupersingularAtP, match="^supersingular at 2: positive corank regime$"):
+        local_kernels(E["11a"], 2)
+    with pytest.raises(EulerCharError, match="^additive reduction at 2: outside the formula's scope$"):
+        local_kernels(E["32a"], 2)
 
 
 def test_criterion_vanishing():
