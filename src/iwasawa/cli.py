@@ -358,9 +358,9 @@ def _checked_int(text, what, test):
     return value
 
 
-def _positive_int(text):
-    """argparse type of the precision flags."""
-    return _checked_int(text, "a positive integer", lambda value: value >= 1)
+def _at_least(low, what):
+    """argparse type of an integer flag with a floor: the precisions and --n-max."""
+    return lambda text: _checked_int(text, what, lambda value: value >= low)
 
 
 def _prime(text):
@@ -373,9 +373,9 @@ def build_parser():
     ap = _Parser(prog="iwasawa",
                  description="Iwasawa-theoretic invariants of elliptic curves over Q")
     ap.add_argument("--format", choices=("json", "text"), default="text")
-    ap.add_argument("--precision-digits", type=_positive_int, default=30,
+    ap.add_argument("--precision-digits", type=_at_least(1, "a positive integer"), default=30,
                     help="p-adic working digits (default 30)")
-    ap.add_argument("--t-precision", type=_positive_int, default=40,
+    ap.add_argument("--t-precision", type=_at_least(1, "a positive integer"), default=40,
                     help="power-series truncation (default 40)")
     ap.add_argument("--extra", help="JSON file mapping extra labels to a-invariants")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -408,7 +408,7 @@ def build_parser():
 
     s = sub.add_parser("growth", help="growth-law fit for a series")
     s.add_argument("f", help="series text, e.g. 'p=3 coeffs=[-3,1]'")
-    s.add_argument("--n-max", type=int, default=3)
+    s.add_argument("--n-max", type=_at_least(2, "an integer >= 2"), default=3)
     s.set_defaults(func=cmd_growth)
 
     s = sub.add_parser("fe", help="functional-equation solve for a series")

@@ -19,6 +19,7 @@ from .padics import (
     CertificateError,
     PadicNumber,
     PrecisionError,
+    _ilog,
     _poly_mod,
     _strip,
     centered,
@@ -159,9 +160,11 @@ class LambdaElement:
         if inner[:1] != "[" or inner[-1:] != "]":
             raise ValueError("need coeffs=[...] with both brackets")
         coeffs = [_int_field("coeffs", c) for c in inner[1:-1].replace(",", " ").split()]
-        return cls(_int_field("p", fields["p"]), coeffs,
-                   _int_field("N", fields.get("N", coeff_prec)),
-                   _int_field("K", fields.get("K", t_prec)))
+        f = cls(_int_field("p", fields["p"]), coeffs, _int_field("N", fields.get("N", coeff_prec)),
+                _int_field("K", fields.get("K", t_prec)))
+        if any(coeffs[f.t_prec:]):
+            raise ValueError(f"coeffs has a nonzero term at or past T^K, K = {f.t_prec}")
+        return f
 
     def __repr__(self):
         terms = []
@@ -302,9 +305,7 @@ def weierstrass_prepare(f: LambdaElement):
 
 
 def _monomial(p, i, n, k):
-    c = [0] * (i + 1)
-    c[i] = 1
-    return LambdaElement(p, c, n, k)
+    return LambdaElement(p, [0] * i + [1], n, k)
 
 
 def associates_check(f: LambdaElement, g: LambdaElement):
@@ -388,8 +389,6 @@ def quotient_order(f: LambdaElement, n: int):
     """
     if f.is_zero():
         raise ZeroAtPrecision("quotient of the zero ideal")
-    if n < 0:
-        raise ValueError("n must be >= 0")
     p = f.p
     m = p ** n
     if m > MAX_LAYER_PN:
@@ -599,58 +598,60 @@ class StabilizationError(ArithmeticError):
 
 
 def growth_fit(f: LambdaElement, n_max: int) -> GrowthParams:
-    """Fit e_n = lam*n + mu*p^n + nu on the layer quotients of Lambda/(f).
+    """Fit e_n = lam*n + mu*p^n + nu on the layer quotients of Lambda/(f), n <= n_max.
 
-    lambda0 is the stabilized free rank; lam = lambda(f) - lambda0 and mu = mu(f)
-    come from mu_lambda, nu from layer n_max; the law must hold from n0 <= n_max - 1.
-    The layers come from f's Newton polygon when it decides them all, with
-    layer 1 checked against its matrix, and otherwise from quotient_order.
-    """
+    lam = lambda(f) - lambda0 (the stabilized free rank), mu = mu(f).  From
+    _polygon_law the law is closed-form (lambda0 = 0, n0 may pass n_max - 1) and
+    layer 1 is checked by its matrix; else each layer is a quotient_order, and the
+    law must hold from n0 <= n_max - 1.  n_max >= N with p^n_max > MAX_LAYER_PN is refused."""
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     p = f.p
-    data = _newton_layers(f, n_max)
-    if data is None:
+    if n_max >= f.coeff_prec and n_max > _ilog(MAX_LAYER_PN, p):  # p^n_max > MAX_LAYER_PN
+        raise ValueError(f"n_max = {n_max} reaches N = {f.coeff_prec} and p^n_max exceeds "
+                         f"the layer-matrix bound {MAX_LAYER_PN}")
+    mu, lam_f = mu_lambda(f)
+    v = _polygon_law(f)
+    if v is None:
         data = [quotient_order(f, n) for n in range(n_max + 1)]
-    elif quotient_order(f, 1) != data[1]:
-        raise CertificateError("Newton polygon and layer matrix disagree")
-    free_ranks = tuple(d[0] for d in data)
-    e_values = tuple(d[1] for d in data)
-    lambda0 = free_ranks[-1]
+    else:
+        data = [(0, mu * p ** n + sum(v[:n + 1]) + lam_f * max(0, n + 1 - len(v)))
+                for n in range(max(n_max, len(v) - 1) + 1)]
+        if quotient_order(f, 1) != data[1]:
+            raise CertificateError("Newton polygon and layer matrix disagree")
+    free_ranks, e_values = (tuple(col) for col in zip(*data))
+    top, lambda0 = len(data) - 1, free_ranks[-1]
     if free_ranks[-2] != lambda0:
         raise StabilizationError("free rank still moving at n_max", e_values, free_ranks)
-    mu_f, lam_f = mu_lambda(f)
     lam = lam_f - lambda0
-    mu = mu_f
-    nu = e_values[-1] - lam * n_max - mu * p ** n_max
-    n0 = None
-    for n in range(n_max, -1, -1):
-        if free_ranks[n] != lambda0 or e_values[n] != lam * n + mu * p ** n + nu:
-            break
-        n0 = n
-    if n0 is None or n0 > n_max - 1:
+    nu = e_values[-1] - lam * top - mu * p ** top
+    law = [(lambda0, lam * n + mu * p ** n + nu) for n in range(top)]
+    n0 = max((n + 1 for n in range(top) if (free_ranks[n], e_values[n]) != law[n]), default=0)
+    if v is None and n0 > n_max - 1:
         raise StabilizationError("growth law not visible below n_max", e_values, free_ranks)
-    return GrowthParams(lam, mu, nu, n0, lambda0, e_values, free_ranks)
+    return GrowthParams(lam, mu, nu, n0, lambda0, e_values[:n_max + 1], free_ranks[:n_max + 1])
 
 
-def _newton_layers(f: LambdaElement, n_max: int):
-    """[(0, e_n) for n = 0..n_max] from f's Newton polygon, or None.
+def _polygon_law(f: LambdaElement):
+    """[v_0, ..., v_(k*-1)]: e_n = mu p^n + v_0 + ... + v_n, v_k = lambda for k >= k*.
 
-    e_n = mu p^n + sum_{k <= n} v_k (Washington, *Introduction to Cyclotomic
-    Fields*, 7.1 and 13.3): v_0 = v_p(c_0) - mu, and for k >= 1 each segment
-    of the hull of (i, v_p(c_i) - mu), i <= lambda, of length l and slope s
-    adds l * min(1, s * phi) with phi = phi(p^k), the roots of f meeting each
-    zeta - 1; at a tie s * phi = 1 the resultant with omega_k = Phi_{p^k}(1 + T)
-    decides.  Every elementary divisor of layer n divides p^(mu + v_0 + ... + v_n),
-    so the answer is the matrix path's only below p^N.  None: a layer with a
-    free part, too little precision, or lambda = 0.
-    """
-    if f.is_zero():
-        return None
-    p = f.p
+    e_n sums v_p(f(zeta - 1)) over zeta^(p^n) = 1 (Washington, *Introduction to
+    Cyclotomic Fields*, 7.1 and 13.3).  On the lower hull of (i, v_p(c_i) - mu),
+    i <= lambda, of f's lift, v_0 = v_p(c_0) - mu, and a segment of length l and
+    drop d adds min(l, d * phi) to v_k, phi = phi(p^k), as its roots meet each
+    zeta - 1 at valuation min(d/l, 1/phi); k* is the least k with d * phi > l on
+    every segment (1 for a unit, which has none).  Exact at any N: if c_0 != 0
+    mod p^N (else T | f: None), the convex hull from (0, v_0) to (lambda, 0) lies
+    at height <= v_0 < N - mu, and a coefficient 0 mod p^N, whatever its true
+    value, at height >= N - mu, above it; so each v_k with d * phi != l is exact.
+    A tie d * phi = l (k < k*) takes v_k = r - mu * phi, r = v_p(Res(omega_k,
+    f mod omega_k)) = phi * v_p(f(zeta - 1)), omega_k = Phi_(p^k)(1 + T); the p^N
+    error moves f(zeta - 1) by valuation >= N, so r is trusted below phi * N, and
+    the matrices decide past it (None).  A T^K tail adds valuation >= K/phi there;
+    like the matrices, a tie takes the lift below T^K as the exact series."""
+    p, c = f.p, f.lift_coeffs()
     mu, lam = mu_lambda(f)
-    c = f.lift_coeffs()
-    if c[0] == 0 or lam == 0:  # T | f; or no layer grows, so only the cap bounds n_max
+    if c[0] == 0:
         return None
     hull = []
     for pt in ((i, valuation(c[i], p) - mu) for i in range(lam + 1) if c[i]):
@@ -661,21 +662,20 @@ def _newton_layers(f: LambdaElement, n_max: int):
         hull.append(pt)
     segs = [(b[0] - a[0], a[1] - b[1]) for a, b in zip(hull, hull[1:])]  # (length, drop)
     v = [hull[0][1]]
-    for k in range(1, n_max + 1):
+    for k in range(1, lam + 2):  # phi(p^(lam + 1)) > lam, so k* <= lam + 1
         phi = p ** (k - 1) * (p - 1)
+        if all(drop * phi > length for length, drop in segs):
+            return v
         if all(drop * phi != length for length, drop in segs):
             v.append(sum(min(length, drop * phi) for length, drop in segs))
-        else:
-            omega = [sum(col) for col in zip(*(_binomials(j * p ** (k - 1), phi + 1)
-                                               for j in range(p)))]
-            rem = _strip(_poly_mod(c, omega))
-            res = _int_resultant(omega, rem) if rem else 0
-            if res == 0:
-                return None  # omega_k divides f: layer k has a free part
-            v.append(valuation(res, p) - mu * phi)
-        if mu + sum(v) >= f.coeff_prec:  # each v_k >= 1, so this ends the loop before k = N
+            continue
+        omega = [sum(col) for col in zip(*(_binomials(j * p ** (k - 1), phi + 1)
+                                           for j in range(p)))]
+        rem = _strip(_poly_mod(c, omega))
+        r = valuation(_int_resultant(omega, rem), p) if rem else None
+        if r is None or r >= phi * f.coeff_prec:
             return None
-    return [(0, mu * p ** n + sum(v[:n + 1])) for n in range(n_max + 1)]
+        v.append(r - mu * phi)
 
 
 # -- involution and functional equation ---------------------------------

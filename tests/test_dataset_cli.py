@@ -384,6 +384,16 @@ def test_cli_refuses_a_non_prime_p(argv, capsys):
     assert f"error: argument --p: must be a prime, got '{argv[-1]}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1", "-5", "x"])
+def test_cli_refuses_an_n_max_below_two(value, capsys):
+    # once "error: need n_max >= 2", which did not name the flag
+    with pytest.raises(SystemExit) as stop:
+        main(["growth", "p=3 coeffs=[-3,1]", "--n-max", value])
+    assert stop.value.code == 1
+    err = capsys.readouterr().err
+    assert f"error: argument --n-max: must be an integer >= 2, got '{value}'" in err
+
+
 def test_cli_big_prime_discriminant_and_huge_two_torsion(capsys):
     code = main(["--format", "json", "analyze", "--ainvs", "[0,0,1,-7,1000000000039]", "--p", "5"])
     assert code == 0

@@ -723,13 +723,15 @@ def test_growth_fit_dense_large_layers(n_max, lam, mu):
 def _shaped_series(rng, p, shape, n, k):
     """p^mu * d * u mod (p^n, T^k) for one shape of the Newton-polygon tests."""
     mod = p ** n
-    lam, mu = rng.randint(1, 4), rng.randint(0, 2 if shape == "mu" else 0)
+    lam, mu = rng.randint(1, 4), rng.randint(0, 2 if shape in ("mu", "unit") else 0)
     d = [p * rng.randrange(1, p ** 3) for _ in range(lam)] + [1]
     if shape == "tie":  # one segment of slope 1/lam, a tie wherever phi(p^k) = lam
         lam = rng.choice([x for x in (1, 2, 4, 6) if x % (p - 1) == 0])
         d = [p * rng.choice([x for x in range(1, p * p) if x % p])] + [0] * (lam - 1) + [1]
     elif shape == "const":
         d[0] = p ** rng.randint(2, 5) * rng.choice([1, -1])
+    elif shape == "unit":
+        d = [1]
     elif shape == "free":  # T or omega_1 = Phi_p(1 + T) divides f, a polynomial below T^k
         d = _poly_mul([0, 1], d) if rng.random() < 0.5 else \
             _poly_mul(theta_poly_int(1, p)[1:], [rng.randrange(p * p) * p, 1])
@@ -743,16 +745,24 @@ def _shaped_series(rng, p, shape, n, k):
 def _fit_or_error(f, n_max):
     try:
         return growth_fit(f, n_max)
-    except ArithmeticError as e:
+    except (ArithmeticError, ValueError) as e:
         return type(e), str(e)
 
 
-@pytest.mark.parametrize("shape", ["tie", "const", "mu", "small_n", "free"])
+def _at_precision(f, n):
+    """f's lift, read as the exact series, at coefficient precision p^n."""
+    return LambdaElement(f.p, f.lift_coeffs(), n, f.t_prec)
+
+
+SHAPES = ["tie", "const", "mu", "small_n", "free", "unit"]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
 def test_newton_layers_match_the_layer_matrices(shape, monkeypatch):
     rng = random.Random(sum(map(ord, shape)))
     ties = []
     real_resultant = la._int_resultant
-    decided = 0
+    decided = past_n = 0
     for _ in range(30):
         p = rng.choice((2, 3, 5, 7))
         n_max = {2: 4, 3: 3, 5: 2, 7: 2}[p]
@@ -760,27 +770,108 @@ def test_newton_layers_match_the_layer_matrices(shape, monkeypatch):
                            rng.randint(12, 40))
         with monkeypatch.context() as m:
             m.setattr(la, "_int_resultant", lambda a, b: ties.append(a) or real_resultant(a, b))
-            layers = la._newton_layers(f, n_max)
-        if layers is not None:
-            decided += 1
-            assert layers == [quotient_order(f, n) for n in range(n_max + 1)], f
+            law = la._polygon_law(f)
         with monkeypatch.context() as m:
-            m.setattr(la, "_newton_layers", lambda f, n_max: None)
+            m.setattr(la, "_polygon_law", lambda f: None)
             by_matrices = _fit_or_error(f, n_max)
-        assert _fit_or_error(f, n_max) == by_matrices, f
-    if shape == "free":
-        assert decided == 0
-    else:  # small N leaves most elementary divisors past p^N
-        assert 0 < decided < 10 if shape == "small_n" else decided >= 25
+        fit = _fit_or_error(f, n_max)
+        if law is None or isinstance(by_matrices, la.GrowthParams):
+            assert fit == by_matrices, f
+        if law is None:
+            continue
+        decided += 1
+        # the law needs no divisor below p^N: where the matrix at N stops, it is
+        # compared at 4N on the same lift
+        g = fit if isinstance(fit, la.GrowthParams) else \
+            growth_fit(_at_precision(f, 4 * f.coeff_prec), n_max)
+        for n, e in enumerate(g.e_values):
+            try:
+                assert quotient_order(f, n) == (0, e), f
+            except PrecisionError:
+                past_n += 1
+                assert quotient_order(_at_precision(f, 4 * f.coeff_prec), n) == (0, e), f
+    assert decided == 0 if shape == "free" else decided >= 25
+    assert past_n > 0 or shape != "small_n"
     assert ties or shape != "tie"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_growth_fit_matches_every_layer_matrix_up_to_the_cap(p):
+    # every layer with p^n <= MAX_LAYER_PN, for units, ties and dense series alike
+    rng = random.Random(p)
+    n_max = max(n for n in range(8) if p ** n <= la.MAX_LAYER_PN)
+    for shape in ("tie", "unit", "const", "mu"):
+        f = _shaped_series(rng, p, shape, 30, 12)
+        g = growth_fit(f, n_max)
+        assert [quotient_order(f, n) for n in range(n_max + 1)] == \
+            list(zip(g.free_ranks, g.e_values)), f
+
+
+def test_growth_fit_answers_alike_at_N_and_2N():
+    rng = random.Random(2024)
+    answered = 0
+    for _ in range(120):
+        shape = rng.choice(SHAPES)
+        p = rng.choice((2, 3, 5, 7))
+        f = _shaped_series(rng, p, shape, rng.randint(2, 6) if shape == "small_n" else 30,
+                           rng.randint(12, 40))
+        n_max = rng.randint(2, {2: 9, 3: 5, 5: 3, 7: 3}[p])
+        fit = _fit_or_error(f, n_max)
+        if isinstance(fit, la.GrowthParams):
+            answered += 1
+            assert growth_fit(_at_precision(f, 2 * f.coeff_prec), n_max) == fit, f
+    assert answered >= 80
 
 
 def test_newton_layers_decide_a_tie_by_the_small_resultant():
     # T - 2 at p = 2: the slope-1 segment ties phi(2) = 1, and f(-2) = -4
-    assert la._newton_layers(el(2, [-2, 1]), 3) == [(0, 1), (0, 3), (0, 4), (0, 5)]
-    assert la._newton_layers(el(3, [3, 3, 1]), 2) is None  # omega_1 itself: a free part
-    assert la._newton_layers(el(3, [0, 3, 1]), 2) is None  # T | f
-    assert la._newton_layers(el(3, [-3, 1], 2, 10), 2) is None  # e_2 needs p^3 > p^N
+    assert la._polygon_law(el(2, [-2, 1])) == [1, 2]
+    assert la._polygon_law(el(3, [3, 3, 1])) is None  # omega_1 itself: a free part
+    assert la._polygon_law(el(3, [0, 3, 1])) is None  # T | f
+    assert la._polygon_law(el(3, [1, 3])) == [0]  # a unit: k* = 1
+    # layer 2 is cyclic of order p^3 = p^N: past its matrix, but not past the hull
+    assert la._polygon_law(el(3, [-3, 1], 3, 10)) == [1]
+    assert growth_fit(el(3, [-3, 1], 3, 10), 4).e_values == (1, 2, 3, 4, 5)
+    with pytest.raises(PrecisionError):
+        quotient_order(el(3, [-3, 1], 3, 10), 2)
+
+
+def test_a_tie_is_trusted_only_below_phi_times_N():
+    # p = 2, N = 4: one segment (2, 1) ties phi(4) = 2 at k = 2, where
+    # omega_2 = T^2 + 2T + 2 and r = v_2(Res(omega_2, f mod omega_2)) = 2 v_2(f(i - 1))
+    below = el(2, [-6, -2, 1, -2], 4, 10)  # r = 7 = 2N - 1
+    assert la._polygon_law(below) == [1, 1, 7]
+    assert growth_fit(below, 3).e_values == (1, 2, 9, 11)
+    assert growth_fit(_at_precision(below, 8), 3).e_values == (1, 2, 9, 11)
+    at = el(2, [-6, 6, 1, -2], 4, 10)  # r = 8 = 2N: the matrices decide, and refuse
+    assert la._polygon_law(at) is None
+    with pytest.raises(PrecisionError, match="precision limit"):
+        growth_fit(at, 3)
+    assert la._polygon_law(_at_precision(at, 5)) == [1, 1, 8]
+
+
+@pytest.mark.parametrize("n_max", [3, 8])
+def test_growth_law_past_the_last_tie_in_closed_form(n_max, capsys):
+    # one segment (4, 1) at p = 2: v = 1, 1, 2, then a tie at k = 3 (v_3 = 6), and
+    # v_k = 4 from k* = 4 on, so nu = 10 - 4 * 3 and n0 = 3, above n_max - 1 at n_max = 3
+    g = growth_fit(el(2, [2, 0, 0, 0, 1]), n_max)
+    assert (g.lam, g.mu, g.nu, g.n0, g.lambda0) == (4, 0, -2, 3, 0)
+    assert g.e_values == (1, 2, 4, 10, 14, 18, 22, 26, 30)[:n_max + 1]
+    argv = ["--format", "json", "growth", "p=2 coeffs=[2,0,0,0,1]", "--n-max", str(n_max)]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["lambda"], out["nu"], out["n0"]) == (4, -2, 3)
+
+
+def test_growth_law_of_a_unit_needs_no_matrix_past_layer_one(monkeypatch):
+    calls = []
+    real = la.quotient_order
+    monkeypatch.setattr(la, "quotient_order", lambda f, n: calls.append(n) or real(f, n))
+    assert growth_fit(LambdaElement.from_text("p=3 coeffs=[1,3]"), 5).e_values == (0,) * 6
+    g = growth_fit(LambdaElement.from_text("p=3 coeffs=[3,3]"), 5)
+    assert g.e_values == tuple(3 ** n for n in range(6))
+    assert (g.lam, g.mu, g.nu, g.n0, g.lambda0) == (0, 1, 0, 0, 0)
+    assert calls == [1, 1]
 
 
 def test_growth_fit_answers_above_the_layer_matrix_bound(capsys):
@@ -794,23 +885,36 @@ def test_growth_fit_answers_above_the_layer_matrix_bound(capsys):
         quotient_order(el(2, [-2, 1]), 8)
 
 
-@pytest.mark.parametrize("coeffs", [[-3, 1], [9], [-9, 3]])
-def test_growth_fit_work_stays_bounded_for_a_large_n_max(coeffs):
-    # the polygon stops at the first layer sum reaching N, and lambda = 0 takes the
-    # matrix path, so a large n_max is refused at the first matrix past the cap
+@pytest.mark.parametrize("coeffs", [[-3, 1], [9], [-9, 3], [0, 1]])
+def test_growth_fit_work_stays_bounded_for_a_large_n_max(coeffs, capsys):
+    # n_max >= N with p^n_max past MAX_LAYER_PN is refused before any layer is formed
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="exceeds the configured bound"):
-        growth_fit(el(3, coeffs), 10 ** 4)
+    with pytest.raises(ValueError, match="^n_max = 1000000000 reaches N = 30 and p\\^n_max "
+                                         "exceeds the layer-matrix bound 128$"):
+        growth_fit(el(3, coeffs), 10 ** 9)
     assert time.perf_counter() - start < 2.0
+    text = f"p=3 coeffs=[{','.join(map(str, coeffs))}]"
+    assert main(["growth", text, "--n-max", str(10 ** 9)]) == 1
+    assert capsys.readouterr().err.startswith("error: n_max = 1000000000 reaches N = 30")
+
+
+def test_the_n_max_bound_needs_both_n_max_at_N_and_p_n_past_the_cap():
+    assert growth_fit(el(2, [-2, 1], 5, 10), 7).e_values[7] == 9  # 2^7 = 128 <= the cap
+    with pytest.raises(ValueError, match="n_max = 8 reaches N = 5"):
+        growth_fit(el(2, [-2, 1], 5, 10), 8)
+    assert growth_fit(el(3, [-3, 1], 30, 40), 29).e_values[29] == 30  # n_max = N - 1
+    with pytest.raises(ValueError, match="n_max = 30 reaches N = 30"):
+        growth_fit(el(3, [-3, 1], 30, 40), 30)
 
 
 _BREAK_NEWTON = textwrap.dedent("""
     from iwasawa import lambda_algebra as la
 
-    real_layers = la._newton_layers
+    real_law = la._polygon_law
 
-    def shifted_layers(f, n_max):
-        return [(r, e + 1) for r, e in real_layers(f, n_max)]
+    def shifted_law(f):
+        v = real_law(f)
+        return [v[0] + 1] + v[1:]
 """)
 
 _NEWTON_UNDER_O = _BREAK_NEWTON + textwrap.dedent("""
@@ -818,7 +922,7 @@ _NEWTON_UNDER_O = _BREAK_NEWTON + textwrap.dedent("""
     from iwasawa.cli import main
 
     assert False, "asserts must be off"
-    la._newton_layers = shifted_layers
+    la._polygon_law = shifted_law
     try:
         la.growth_fit(la.LambdaElement(3, [-3, 1], 30, 40), 3)
     except la.CertificateError as e:
@@ -832,11 +936,12 @@ _NEWTON_UNDER_O = _BREAK_NEWTON + textwrap.dedent("""
 def test_newton_layers_are_certified_by_layer_one(monkeypatch, capsys):
     ns = {}
     exec(_BREAK_NEWTON, ns)
-    monkeypatch.setattr(la, "_newton_layers", ns["shifted_layers"])
-    with pytest.raises(CertificateError, match="Newton polygon and layer matrix disagree"):
-        growth_fit(el(3, [-3, 1]), 3)
-    assert main(["growth", "p=3 coeffs=[-3,1]"]) == 1
-    assert capsys.readouterr().err == "error: Newton polygon and layer matrix disagree\n"
+    monkeypatch.setattr(la, "_polygon_law", ns["shifted_law"])
+    for text in ("p=3 coeffs=[-3,1]", "p=3 coeffs=[3,3]"):  # lambda = 1, and a unit
+        with pytest.raises(CertificateError, match="Newton polygon and layer matrix disagree"):
+            growth_fit(LambdaElement.from_text(text), 3)
+        assert main(["growth", text]) == 1
+        assert capsys.readouterr().err == "error: Newton polygon and layer matrix disagree\n"
 
 
 def test_newton_layers_are_certified_under_python_O():
@@ -847,6 +952,28 @@ def test_newton_layers_are_certified_under_python_O():
     assert proc.stdout.splitlines() == [
         "fit: Newton polygon and layer matrix disagree",
         "growth exit 1 error: Newton polygon and layer matrix disagree"]
+
+
+@pytest.mark.parametrize("argv, text, k", [
+    ([], "p=3 K=2 coeffs=[-3,0,1]", 2),  # once read as -3: lambda = 0, mu = 1
+    (["--t-precision", "1"], "p=3 coeffs=[-3,1]", 1),
+])
+@pytest.mark.parametrize("command", ["growth", "fe"])
+def test_series_text_refuses_a_term_past_K(argv, text, k, command, capsys):
+    message = f"coeffs has a nonzero term at or past T^K, K = {k}"
+    with pytest.raises(ValueError) as err:
+        LambdaElement.from_text(text, t_prec=k)
+    assert str(err.value) == message
+    assert main(argv + [command, text]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # zeros past K state nothing, so they pass
+    zeros = LambdaElement.from_text("p=3 K=2 coeffs=[-3,1,0,0]")
+    assert zeros.to_text() == "p=3 N=30 K=2 coeffs=[-3,1]"
+
+
+def test_growth_of_a_zero_series_is_refused(capsys):
+    assert main(["growth", "p=3 N=2 coeffs=[9,0,18]"]) == 1
+    assert capsys.readouterr().err == "error: element vanishes mod (p^N, T^K)\n"
 
 
 @pytest.mark.parametrize("text", ["p=3 coeffs=[-3,1", "p=3 coeffs=-3,1]", "p=3 coeffs=]-3,1["])
