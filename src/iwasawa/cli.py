@@ -3,7 +3,8 @@
 Subcommands: analyze, euler-char, criteria, mu-bound, growth, fe, forge,
 verify-points, tables.  Exit codes: 0 all checks matched, 2 a computed
 value contradicted an expected one, 1 usage or computation error.
-Each subcommand imports the modules it needs when it runs.
+Each subcommand imports the modules it needs when it runs; only the integer
+kernel `padics`, which every module imports, is loaded up front.
 """
 
 from __future__ import annotations
@@ -12,95 +13,31 @@ import argparse
 import json
 import sys
 
-
-def _load_curve(args):
-    from . import dataset as ds
-    from .curves import WeierstrassCurve
-    if args.ainvs:
-        a = json.loads(args.ainvs)
-        if isinstance(a, dict):  # curve JSON object form
-            return a.get("label", "custom"), WeierstrassCurve(*_ainvs(a["ainvs"])), {}
-        return "custom", WeierstrassCurve(*_ainvs(a)), {}
-    if not args.curve:
-        raise ValueError("give --curve or --ainvs")
-    entry = ds.lookup(args.curve, _extra_curves(args))
-    return entry.label, entry.curve(), entry.annotations
-
-
-def _ainvs(values):
-    """[a1, a2, a3, a4, a6] from a JSON list of five integers or decimal
-    strings; int() then refuses a string that is not an integer."""
-    if (not isinstance(values, list) or len(values) != 5
-            or any(isinstance(v, bool) or not isinstance(v, (int, str)) for v in values)):
-        raise ValueError(f"a-invariants must be a list of five integers, got {values!r}")
-    return [int(v) for v in values]
-
-
-def _edges(path):
-    """IsogenyEdges from the --edges file (the format is in the README)."""
-    from .mu import IsogenyEdge, KernelClass
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, list):
-        raise ValueError(f"the edges file must hold a JSON list, got {data!r}")
-    edges = []
-    for d in data:
-        k = d.get("kernel") if isinstance(d, dict) else None
-        if (not isinstance(k, dict) or not all(isinstance(d.get(f), str) for f in ("from", "to"))
-                or not all(type(x) is int for x in (d.get("degree"), k.get("order")))
-                or not all(type(k.get(f)) is bool for f in ("ramified", "odd"))):
-            raise ValueError("an isogeny edge needs string labels, integer degree and order, "
-                             f"and boolean ramified and odd, got {d!r}")
-        edges.append(IsogenyEdge(d["from"].lower(), d["to"].lower(), d["degree"],
-                                 KernelClass(k["order"], k["ramified"], k["odd"],
-                                             k.get("provenance", "input"))))
-    return edges
-
-
-def _extra_curves(args):
-    """The --extra file: either {label: [a1..a6]} or a list of curve
-    objects {"label": ..., "ainvs": ["0","-1",...]} with string entries."""
-    if not args.extra:
-        return {}
-    with open(args.extra) as fh:
-        data = json.load(fh)
-    if isinstance(data, list):
-        return {d["label"].lower(): _ainvs(d["ainvs"]) for d in data}
-    return {k.lower(): _ainvs(v) for k, v in data.items()}
+from .padics import centered, is_prime, valuation
 
 
 def _emit(payload, args):
+    """Render the whole payload, then write it: a refusal leaves stdout empty."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2, default=str))
     else:
-        _emit_text(payload)
+        print("\n".join(_text_lines(payload)))
 
 
-def _emit_text(payload, indent=0):
-    pad = "  " * indent
+def _text_lines(payload, pad=""):
     if isinstance(payload, dict):
         for k, v in payload.items():
             if isinstance(v, (dict, list)) and v:
-                print(f"{pad}{k}:")
-                _emit_text(v, indent + 1)
+                yield f"{pad}{k}:"
+                yield from _text_lines(v, pad + "  ")
             else:
-                print(f"{pad}{k}: {v}")
-    elif isinstance(payload, list):
+                yield f"{pad}{k}: {v}"
+    else:  # a list; the top level is always a dict
         for v in payload:
             if isinstance(v, (dict, list)):
-                _emit_text(v, indent)
+                yield from _text_lines(v, pad)
             else:
-                print(f"{pad}- {v}")
-    else:
-        print(f"{pad}{payload}")
-
-
-def _sel_vp(args):
-    """v_p of the --sel-order input, which must be a positive integer."""
-    from .padics import valuation
-    if args.sel_order < 1:
-        raise ValueError(f"--sel-order must be a positive integer, got {args.sel_order}")
-    return valuation(args.sel_order, args.p)
+                yield f"{pad}- {v}"
 
 
 def cmd_analyze(args):
@@ -110,12 +47,12 @@ def cmd_analyze(args):
     from .selmer import (EulerCharError, GlobalAssumptions, criterion_infinite,
                          criterion_vanishing, euler_char)
     from .tate import bad_primes, conductor, tate_local
-    label, E, ann = _load_curve(args)
+    label, E, ann = args.curve
     p = args.p
     report = {"label": label, "ainvs": list(E.ainvs()), "disc": E.disc,
               "j": str(E.j), "conductor": conductor(E)}
     mismatches = []
-    loc_table = {}
+    report["local"] = loc_table = {}
     for ell in bad_primes(E):
         loc = tate_local(E, ell)
         loc_table[ell] = {"kind": loc.kind, "tamagawa": loc.tamagawa,
@@ -123,11 +60,9 @@ def cmd_analyze(args):
         want = ann.get("tamagawa", {}).get(ell)
         if want is not None and want != loc.tamagawa:
             mismatches.append(f"c_{ell}: computed {loc.tamagawa}, expected {want}")
-    report["local"] = loc_table
-    T = torsion(E)
-    report["torsion"] = T.describe()
-    if "torsion" in ann and ann["torsion"] != T.describe():
-        mismatches.append(f"torsion: computed {T.describe()}, expected {ann['torsion']}")
+    report["torsion"] = tors = torsion(E).describe()
+    if ann.get("torsion", tors) != tors:
+        mismatches.append(f"torsion: computed {tors}, expected {ann['torsion']}")
     locp = tate_local(E, p)
     if locp.kind == "good":
         report["at_p"] = {"a_p": locp.a_ell,
@@ -135,7 +70,7 @@ def cmd_analyze(args):
                           "anomalous": locp.anomalous}
     else:
         report["at_p"] = {"reduction": locp.kind}
-    A = GlobalAssumptions(sel_vp=_sel_vp(args), rank=args.rank)
+    A = GlobalAssumptions(sel_vp=valuation(args.sel_order, p), rank=args.rank)
     try:
         rep = euler_char(E, p, A, digits=args.precision_digits)
         report["euler"] = {"total": rep.total,
@@ -168,22 +103,20 @@ def cmd_analyze(args):
 
 def cmd_euler(args):
     from .selmer import GlobalAssumptions, euler_char
-    label, E, ann = _load_curve(args)
-    rep = euler_char(E, args.p, GlobalAssumptions(sel_vp=_sel_vp(args)),
+    label, E, ann = args.curve
+    rep = euler_char(E, args.p, GlobalAssumptions(sel_vp=valuation(args.sel_order, args.p)),
                      digits=args.precision_digits)
     payload = {"label": label, "p": args.p, "total": rep.total,
                "entries": [list(e) for e in rep.entries], "notes": list(rep.notes)}
     _emit(payload, args)
     want = ann.get("euler_vp", {}).get(args.p)
-    if want is not None and args.sel_order == ann.get("sel_order", None) and want != rep.total:
-        return 2
-    return 0
+    return 2 if want not in (None, rep.total) and args.sel_order == ann.get("sel_order") else 0
 
 
 def cmd_criteria(args):
     from .selmer import GlobalAssumptions, criterion_infinite, criterion_vanishing
-    label, E, _ = _load_curve(args)
-    A = GlobalAssumptions(sel_vp=_sel_vp(args))
+    label, E, _ = args.curve
+    A = GlobalAssumptions(sel_vp=valuation(args.sel_order, args.p))
     van = criterion_vanishing(E, args.p, A)
     inf = criterion_infinite(E, args.p, A)
     _emit({"label": label, "p": args.p,
@@ -196,28 +129,26 @@ def cmd_criteria(args):
 def cmd_mu_bound(args):
     from . import dataset as ds
     from .mu import _rational_two_torsion_points, classify_two_torsion, mu_lower_bound
-    label, E, _ = _load_curve(args)
-    edges = ds.isogeny_edges(label) + (_edges(args.edges) if args.edges else [])
+    label, E, _ = args.curve
+    edges = ds.isogeny_edges(label) + (args.edges or [])
     v = mu_lower_bound(label, args.p, edges, curves={label: E})
     payload = {"label": label, "p": args.p, "mu_lower_bound": v.lower_bound, "rule": v.rule}
     if args.p == 2:
-        cls = {}
+        payload["two_torsion"] = cls = {}
         for P in _rational_two_torsion_points(E):
             try:
                 ram, odd = classify_two_torsion(E, P)
                 cls[f"({P[0]}, {P[1]})"] = {"ramified_at_2": ram, "odd": odd}
             except ValueError as e:
                 cls[f"({P[0]}, {P[1]})"] = {"error": str(e)}
-        payload["two_torsion"] = cls
     _emit(payload, args)
     return 0
 
 
 def cmd_growth(args):
-    from . import lambda_algebra as la
-    f = la.LambdaElement.from_text(args.f, args.precision_digits, args.t_precision)
-    g = la.growth_fit(f, args.n_max)
-    _emit({"f": f.to_text(), "lambda": g.lam, "mu": g.mu, "nu": g.nu,
+    from .lambda_algebra import growth_fit
+    g = growth_fit(args.f, args.n_max)
+    _emit({"f": args.f.to_text(), "lambda": g.lam, "mu": g.mu, "nu": g.nu,
            "n0": g.n0, "lambda0": g.lambda0,
            "e_values": list(g.e_values), "free_ranks": list(g.free_ranks)}, args)
     return 0
@@ -225,7 +156,7 @@ def cmd_growth(args):
 
 def cmd_fe(args):
     from . import lambda_algebra as la
-    f = la.LambdaElement.from_text(args.f, args.precision_digits, args.t_precision)
+    f = args.f
     res = la.fe_solve(f)
     if res is la.INDETERMINATE:
         payload = {"f": f.to_text(), "verdict": "indeterminate"}
@@ -241,7 +172,6 @@ def cmd_fe(args):
 
 def _small_lift(c):
     """Symmetric lift of a p-adic integer when small, else its repr."""
-    from .padics import centered
     if c.is_zero:
         return 0
     if c.v < 0:
@@ -251,10 +181,8 @@ def _small_lift(c):
 
 
 def cmd_forge(args):
-    from .forge import ForgeSpec, crt_assemble
-    with open(args.spec) as fh:
-        spec = ForgeSpec.from_dict(json.load(fh))
-    res = crt_assemble(spec, seed=args.seed)
+    from .forge import crt_assemble
+    res = crt_assemble(args.spec, seed=args.seed)
     _emit({"ainvs": list(res.curve.ainvs()), "ok": res.ok,
            "ledger": [list(e) for e in res.ledger],
            "witnesses": res.witnesses, "exponents": res.exponents}, args)
@@ -273,72 +201,60 @@ def cmd_tables(args):
 
     from . import dataset as ds
     from .curves import torsion
-    from .padics import valuation
     from .periods import real_period
-    from .selmer import EulerCharError, GlobalAssumptions, euler_char
     from .tate import conductor, tate_local
-    extra = _extra_curves(args)
     rows = []
-    exit_code = 0
     for table, primes, p in ((ds.CONDUCTOR_15_TABLE, (3, 5), 2),
                              (ds.CONDUCTOR_195_TABLE, (3, 5, 13), 2)):
         for lbl, (sha, tors, cs, vf, mu) in table.items():
             row = {"label": lbl, "expected": {"|Sha|": sha, "|T|": tors,
                                               "tamagawa": list(cs), "v2(f(0))": vf, "mu": mu}}
+            rows.append(row)
             try:
-                entry = ds.lookup(lbl, extra)
+                E = ds.lookup(lbl, args.extra).curve()
             except KeyError:
                 row["status"] = "expected-only (supply --extra with its a-invariants)"
-                rows.append(row)
                 continue
-            E = entry.curve()
             computed = {"|T|": torsion(E).order,
-                        "tamagawa": [tate_local(E, ell).tamagawa for ell in primes]}
-            try:
-                rep = euler_char(E, p, GlobalAssumptions(sel_vp=valuation(sha, p)))
-                computed["v2(f(0))"] = rep.total
-            except EulerCharError as e:
-                computed["v2(f(0))"] = f"refused: {e}"
-            match = (computed["|T|"] == tors and computed["tamagawa"] == list(cs)
-                     and computed.get("v2(f(0))") == vf)
+                        "tamagawa": [tate_local(E, ell).tamagawa for ell in primes],
+                        "v2(f(0))": _euler_total(E, p, sha)}
             row["computed"] = computed
-            row["match"] = match
-            if not match:
-                exit_code = 2
-            rows.append(row)
+            row["match"] = (computed["|T|"] == tors and computed["tamagawa"] == list(cs)
+                            and computed["v2(f(0))"] == vf)
     # per-curve scalar facts for the embedded entries
     facts = []
     for entry in ds.dataset_load():
         E = entry.curve()
         fact = {"label": entry.label, "conductor": conductor(E),
                 "torsion": torsion(E).describe()}
-        ok = True
-        if "torsion" in entry.annotations:
-            ok = ok and fact["torsion"] == entry.annotations["torsion"]
+        ok = entry.annotations.get("torsion", fact["torsion"]) == fact["torsion"]
         for ell, c in entry.annotations.get("tamagawa", {}).items():
-            got = tate_local(E, ell).tamagawa
-            fact[f"c_{ell}"] = got
+            got = fact[f"c_{ell}"] = tate_local(E, ell).tamagawa
             ok = ok and got == c
         for p, want in entry.annotations.get("euler_vp", {}).items():
-            try:
-                got = euler_char(E, p, GlobalAssumptions(
-                    sel_vp=valuation(entry.annotations.get("sel_order", 1), p))).total
-                fact[f"v_{p}(f(0))"] = got
-                ok = ok and got == want
-            except EulerCharError as e:
-                fact[f"v_{p}(f(0))"] = f"refused: {e}"
-                ok = False
+            got = fact[f"v_{p}(f(0))"] = _euler_total(E, p, entry.annotations.get("sel_order", 1))
+            ok = ok and got == want  # a refusal is a string, never equal to want
         if entry.annotations.get("period_ratio_to"):
             other_lbl, want = entry.annotations["period_ratio_to"]
             ratio = real_period(ds.lookup(other_lbl).curve()) / real_period(E)
             fact["period_ratio"] = round(float(ratio), 9)
             ok = ok and abs(ratio - want) < Fraction(1, 10 ** 6)
         fact["match"] = ok
-        if not ok:
-            exit_code = 2
         facts.append(fact)
     _emit({"tables": rows, "curve_facts": facts}, args)
-    return exit_code
+    return 0 if all(r.get("match", True) for r in rows + facts) else 2
+
+
+def _euler_total(E, p, sel_order):
+    """v_p(f(0)) with |Sel| = sel_order, or the text of its refusal."""
+    from .selmer import EulerCharError, GlobalAssumptions, euler_char
+    try:
+        return euler_char(E, p, GlobalAssumptions(sel_vp=valuation(sel_order, p))).total
+    except EulerCharError as e:
+        return f"refused: {e}"
+
+
+# -- the input boundary: every input is checked before dispatch, and a refusal names it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -359,77 +275,154 @@ def _checked_int(text, what, test):
 
 
 def _at_least(low, what):
-    """argparse type of an integer flag with a floor: the precisions and --n-max."""
+    """argparse type of an integer flag with a floor."""
     return lambda text: _checked_int(text, what, lambda value: value >= low)
 
 
 def _prime(text):
     """argparse type of --p."""
-    from .padics import is_prime
     return _checked_int(text, "a prime", is_prime)
 
 
+def _json_input(convert, inline=False):
+    """argparse type of JSON given inline or in the file it names: `convert` of
+    the value.  An unreadable file, bad JSON and a ValueError from `convert` are
+    refused."""
+    def parse(text):
+        where = "" if inline else f"{text}: "
+        try:
+            if not inline:
+                with open(text) as fh:
+                    text = fh.read()
+            return convert(json.loads(text))
+        except (OSError, ValueError, RecursionError) as e:
+            raise argparse.ArgumentTypeError(f"{where}{e}") from None
+    return parse
+
+
+def _curve(value, label=None):
+    """(label, curve) of a list of five integers or decimal strings, or of a curve
+    object {"label": ..., "ainvs": [...]}; a non-integer string or a singular model fails."""
+    from .curves import WeierstrassCurve
+    d = value if isinstance(value, dict) else {"ainvs": value}
+    label, ainvs = d.get("label", label), d.get("ainvs")
+    if (not isinstance(label, str) or not isinstance(ainvs, list) or len(ainvs) != 5
+            or any(isinstance(v, bool) or not isinstance(v, (int, str)) for v in ainvs)):
+        raise ValueError("a curve is a list of five integers (or decimal strings), or an "
+                         f"object with a string label and that list as ainvs; got {value!r}")
+    return label, WeierstrassCurve(*(int(v) for v in ainvs))
+
+
+def _extra(value):
+    """--extra: {label: [a1..a6]} or a list of curve objects, as label -> a-invariants."""
+    if not isinstance(value, (dict, list)):
+        raise ValueError(f"the extra file must hold a JSON object or list, got {value!r}")
+    pairs = map(_curve, value) if isinstance(value, list) else map(_curve, value.values(), value)
+    return {k.lower(): E.ainvs() for k, E in pairs}
+
+
+def _edges(value):
+    """--edges: the IsogenyEdges of a JSON list (the format is in the README)."""
+    from .mu import IsogenyEdge, KernelClass
+    if not isinstance(value, list):
+        raise ValueError(f"the edges file must hold a JSON list, got {value!r}")
+    edges = []
+    for d in value:
+        k = d.get("kernel") if isinstance(d, dict) else None
+        if (not isinstance(k, dict) or not all(isinstance(d.get(f), str) for f in ("from", "to"))
+                or not all(type(x) is int for x in (d.get("degree"), k.get("order")))
+                or not all(type(k.get(f)) is bool for f in ("ramified", "odd"))):
+            raise ValueError("an isogeny edge needs string labels, integer degree and order, "
+                             f"and boolean ramified and odd, got {d!r}")
+        edges.append(IsogenyEdge(d["from"].lower(), d["to"].lower(), d["degree"],
+                                 KernelClass(k["order"], k["ramified"], k["odd"],
+                                             k.get("provenance", "input"))))
+    return edges
+
+
+def _spec(value):
+    """--spec: the ForgeSpec of a JSON object."""
+    from .forge import ForgeSpec
+    return ForgeSpec.from_dict(value)
+
+
+def _parse(argv):
+    """The checked arguments.  A --curve label (read with --extra) and the series
+    text (read at both precisions) need two flags, so they are read after parsing.
+    An --n-max below N (growth_fit refuses a larger one past the layer-matrix bound)
+    at which mu*p^n_max has more digits than the interpreter prints
+    (sys.get_int_max_str_digits; absent or 0: no limit) is refused before fitting."""
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if isinstance(getattr(args, "curve", None), str):  # --ainvs is already a curve
+        from . import dataset as ds
+        try:
+            entry = ds.lookup(args.curve, args.extra)
+        except KeyError as e:
+            ap.error(f"argument --curve: {e.args[0]}")
+        args.curve = entry.label, entry.curve(), entry.annotations
+    if "f" not in args:
+        return args
+    from .lambda_algebra import LambdaElement
+    try:
+        f = args.f = LambdaElement.from_text(args.f, args.precision_digits, args.t_precision)
+    except (ValueError, ArithmeticError) as e:
+        ap.error(f"argument f: {e}")
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if "n_max" in args and args.n_max < f.coeff_prec and limit:  # p^n_max < p^N, made above
+        mu = min((valuation(c, f.p) for c in f.coeffs if c), default=0)
+        if mu * f.p ** args.n_max >= 10 ** (limit - 1):
+            ap.error(f"argument --n-max: mu*p^n_max = {mu}*{f.p}^{args.n_max} reaches "
+                     f"10^{limit - 1}; the interpreter prints integers of at most {limit} digits")
+    return args
+
+
 def build_parser():
+    positive = _at_least(1, "a positive integer")
     ap = _Parser(prog="iwasawa",
                  description="Iwasawa-theoretic invariants of elliptic curves over Q")
     ap.add_argument("--format", choices=("json", "text"), default="text")
-    ap.add_argument("--precision-digits", type=_at_least(1, "a positive integer"), default=30,
+    ap.add_argument("--precision-digits", type=positive, default=30,
                     help="p-adic working digits (default 30)")
-    ap.add_argument("--t-precision", type=_at_least(1, "a positive integer"), default=40,
+    ap.add_argument("--t-precision", type=positive, default=40,
                     help="power-series truncation (default 40)")
-    ap.add_argument("--extra", help="JSON file mapping extra labels to a-invariants")
+    ap.add_argument("--extra", type=_json_input(_extra),
+                    help="JSON file mapping extra labels to a-invariants")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def curve_opts(s):
-        s.add_argument("--curve", help="dataset label, e.g. 11a or 915a1")
-        s.add_argument("--ainvs", help="JSON list [a1,a2,a3,a4,a6]")
-        s.add_argument("--p", type=_prime, required=True)
-
-    s = sub.add_parser("analyze", help="full report for one curve at one prime")
-    curve_opts(s)
-    s.add_argument("--sel-order", type=int, default=1)
-    s.add_argument("--rank", type=int, default=None)
-    s.set_defaults(func=cmd_analyze)
-
-    s = sub.add_parser("euler-char", help="itemized v_p(f(0)) ledger")
-    curve_opts(s)
-    s.add_argument("--sel-order", type=int, default=1)
-    s.set_defaults(func=cmd_euler)
-
-    s = sub.add_parser("criteria", help="vanishing / infinitude criteria")
-    curve_opts(s)
-    s.add_argument("--sel-order", type=int, default=1)
-    s.set_defaults(func=cmd_criteria)
-
-    s = sub.add_parser("mu-bound", help="mu lower bound from classified kernels")
-    curve_opts(s)
-    s.add_argument("--edges", help="JSON isogeny-edge file")
-    s.set_defaults(func=cmd_mu_bound)
-
-    s = sub.add_parser("growth", help="growth-law fit for a series")
-    s.add_argument("f", help="series text, e.g. 'p=3 coeffs=[-3,1]'")
-    s.add_argument("--n-max", type=_at_least(2, "an integer >= 2"), default=3)
-    s.set_defaults(func=cmd_growth)
-
-    s = sub.add_parser("fe", help="functional-equation solve for a series")
-    s.add_argument("f", help="series text, e.g. 'p=3 coeffs=[3,3,1]'")
-    s.set_defaults(func=cmd_fe)
-
-    s = sub.add_parser("forge", help="build a curve with prescribed local data")
-    s.add_argument("--spec", required=True, help='JSON {"P":[[5,2]],"L":[[3,1,2]],"Q":[7]}')
-    s.add_argument("--seed", type=int, default=0)
-    s.set_defaults(func=cmd_forge)
-
-    s = sub.add_parser("verify-points", help="number-field point scenarios")
-    s.set_defaults(func=cmd_verify_points)
-
-    s = sub.add_parser("tables", help="reproduce the example tables")
-    s.set_defaults(func=cmd_tables)
+    for name, func, text in (
+            ("analyze", cmd_analyze, "full report for one curve at one prime"),
+            ("euler-char", cmd_euler, "itemized v_p(f(0)) ledger"),
+            ("criteria", cmd_criteria, "vanishing / infinitude criteria"),
+            ("mu-bound", cmd_mu_bound, "mu lower bound from classified kernels"),
+            ("growth", cmd_growth, "growth-law fit for a series"),
+            ("fe", cmd_fe, "functional-equation solve for a series"),
+            ("forge", cmd_forge, "build a curve with prescribed local data"),
+            ("verify-points", cmd_verify_points, "number-field point scenarios"),
+            ("tables", cmd_tables, "reproduce the example tables")):
+        s = sub.add_parser(name, help=text)
+        s.set_defaults(func=func)
+        if name in ("analyze", "euler-char", "criteria", "mu-bound"):
+            g = s.add_mutually_exclusive_group(required=True)
+            g.add_argument("--curve", help="dataset label, e.g. 11a or 915a1")
+            g.add_argument("--ainvs", dest="curve", metavar="JSON", help="[a1..a6] or curve object",
+                           type=_json_input(lambda v: (*_curve(v, "custom"), {}), inline=True))
+            s.add_argument("--p", type=_prime, required=True)
+        if name in ("analyze", "euler-char", "criteria"):
+            s.add_argument("--sel-order", type=positive, default=1)
+        if name in ("growth", "fe"):
+            s.add_argument("f", help="series text, e.g. 'p=3 coeffs=[3,3,1]'")
+    sub.choices["analyze"].add_argument("--rank", type=_at_least(0, "a non-negative integer"))
+    sub.choices["mu-bound"].add_argument("--edges", type=_json_input(_edges),
+                                         help="JSON isogeny-edge file")
+    sub.choices["growth"].add_argument("--n-max", type=_at_least(2, "an integer >= 2"), default=3)
+    sub.choices["forge"].add_argument("--spec", type=_json_input(_spec), required=True,
+                                      help='JSON file {"P":[[5,2]],"L":[[3,1,2]],"Q":[7]}')
+    sub.choices["forge"].add_argument("--seed", type=int, default=0)
     return ap
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, ArithmeticError) as e:

@@ -390,9 +390,9 @@ def quotient_order(f: LambdaElement, n: int):
     if f.is_zero():
         raise ZeroAtPrecision("quotient of the zero ideal")
     p = f.p
+    if n > _ilog(MAX_LAYER_PN, p):  # before p^n is formed: n may be huge
+        raise ValueError(f"n = {n}: p^n = {p}^{n} exceeds the configured bound {MAX_LAYER_PN}")
     m = p ** n
-    if m > MAX_LAYER_PN:
-        raise ValueError(f"p^n = {m} exceeds the configured bound {MAX_LAYER_PN}")
     th = theta_poly_int(n, p)
     fc = f.lift_coeffs()
     mat = _mult_matrix(fc, th)

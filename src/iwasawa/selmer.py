@@ -36,6 +36,11 @@ class GlobalAssumptions:
     rank: int | None = None
     sel_finite: bool = True
 
+    def __post_init__(self):
+        for name in ("sel_vp", "rank"):
+            if (getattr(self, name) or 0) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class EulerReport:

@@ -142,6 +142,16 @@ def test_isogeny_edges_declared():
 # -- CLI ---------------------------------------------------------------
 
 
+def _refused(argv, capsys):
+    """The last stderr line of an input refused before dispatch: argparse's
+    exit 1 with nothing on stdout."""
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert stop.value.code == 1 and out == ""
+    return err.splitlines()[-1]
+
+
 def test_cli_euler_char(capsys):
     code = main(["--format", "json", "euler-char", "--curve", "11a1", "--p", "5",
                  "--sel-order", "1"])
@@ -234,8 +244,7 @@ def test_cli_forge_search_failure_exit_code(tmp_path, capsys, monkeypatch):
 def test_cli_forge_refuses_malformed_specs(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    assert main(["forge", "--spec", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert f"error: argument --spec: {path}: " in _refused(["forge", "--spec", str(path)], capsys)
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -246,8 +255,8 @@ def test_cli_forge_refuses_malformed_specs(tmp_path, capsys, spec):
 def test_cli_forge_refuses_a_prime_listed_twice(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    assert main(["forge", "--spec", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    last = _refused(["forge", "--spec", str(path)], capsys)
+    assert last == f"iwasawa forge: error: argument --spec: {path}: {message}"
 
 
 _EDGE = {"from": "768d3", "to": "768d1", "degree": 5,
@@ -268,8 +277,8 @@ def test_cli_mu_bound_reads_an_edges_file(tmp_path, capsys):
 def test_cli_mu_bound_refuses_malformed_edges(tmp_path, capsys, edge):
     path = tmp_path / "edges.json"
     path.write_text(json.dumps([edge]))
-    assert main(["mu-bound", "--curve", "768d3", "--p", "5", "--edges", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: an isogeny edge needs")
+    last = _refused(["mu-bound", "--curve", "768d3", "--p", "5", "--edges", str(path)], capsys)
+    assert f"error: argument --edges: {path}: an isogeny edge needs" in last
 
 
 def test_cli_mu_bound(capsys):
@@ -282,21 +291,21 @@ def test_cli_mu_bound(capsys):
 
 
 def test_cli_usage_error_exit_code(capsys):
-    code = main(["euler-char", "--curve", "no-such-label", "--p", "5"])
-    assert code == 1
+    last = _refused(["euler-char", "--curve", "no-such-label", "--p", "5"], capsys)
+    assert last.endswith("error: argument --curve: no curve labeled 'no-such-label' in the dataset")
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "--p", "5"],
-    ["analyze", "--ainvs", "[0,0,0,0]", "--p", "5"],
-    ["analyze", "--ainvs", "[0,0,0,1.5,0]", "--p", "5"],
-    ["analyze", "--ainvs", '{"ainvs": ["0", "0", "0", "x", "0"]}', "--p", "5"],
-])
-def test_cli_rejects_bad_curve_input(argv, capsys):
+@pytest.mark.parametrize("argv,named", [
+    (["analyze", "--p", "5"], "one of the arguments --curve --ainvs is required"),
+    (["analyze", "--ainvs", "[0,0,0,0]", "--p", "5"], "argument --ainvs: a curve is"),
+    (["analyze", "--ainvs", "[0,0,0,1.5,0]", "--p", "5"], "argument --ainvs: a curve is"),
+    (["analyze", "--ainvs", '{"ainvs": ["0", "0", "0", "x", "0"]}', "--p", "5"],
+     "argument --ainvs: invalid literal for int()"),
+], ids=["argv0", "argv1", "argv2", "argv3"])
+def test_cli_rejects_bad_curve_input(argv, named, capsys):
     # no curve, four a-invariants and a non-integer a4 used to raise
     # AttributeError, raise TypeError and truncate a4 to 1
-    assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert f"error: {named}" in _refused(argv, capsys)
 
 
 def test_cli_refuses_a_good_prime_past_the_counting_bound(capsys):
@@ -363,8 +372,8 @@ def test_cli_report_shapes(capsys):
 ])
 def test_cli_rejects_bad_sel_order_and_prime(argv, capsys):
     # each of these used to loop forever in a private valuation loop
-    assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    last = _refused(argv, capsys)
+    assert f"error: argument --sel-order: must be a positive integer, got '{argv[-1]}'" in last
 
 
 @pytest.mark.parametrize("argv", [

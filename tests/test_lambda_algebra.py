@@ -40,6 +40,16 @@ from padic_oracles import int_power, series_inverse
 from padic_oracles import min_generators as eliminated_min_generators
 
 
+def _series_refusal(argv, capsys):
+    """The last stderr line when the CLI refuses the series text of argv before
+    dispatch: exit 1 and nothing on stdout."""
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert stop.value.code == 1 and out == ""
+    return err.splitlines()[-1]
+
+
 def el(p, coeffs, n=30, k=40):
     return LambdaElement(p, coeffs, n, k)
 
@@ -469,9 +479,8 @@ def test_t_precision_below_one_is_refused(capsys):
     for k in (0, -1):
         with pytest.raises(TPrecisionError):
             LambdaElement(3, [-3, 1, 5], 30, k)
-    assert main(["growth", "p=3 K=-1 coeffs=[-3,1,5]", "--n-max", "2"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "error: T-precision below one term\n"
+    last = _series_refusal(["growth", "p=3 K=-1 coeffs=[-3,1,5]", "--n-max", "2"], capsys)
+    assert last == "iwasawa: error: argument f: T-precision below one term"
 
 
 def test_text_roundtrip():
@@ -874,6 +883,14 @@ def test_growth_law_of_a_unit_needs_no_matrix_past_layer_one(monkeypatch):
     assert calls == [1, 1]
 
 
+def test_quotient_order_refuses_a_huge_layer_before_forming_p_to_the_n():
+    # p^n was formed first: n = 10^6 hit the int-to-string limit, n = 10^7 took 2.6 s
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^n = 1000000000: p\^n = 3\^1000000000 exceeds"):
+        quotient_order(el(3, [-3, 1]), 10 ** 9)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_growth_fit_answers_above_the_layer_matrix_bound(capsys):
     # p^n = 1024 is past MAX_LAYER_PN = 128; only layer 1 is built as a matrix
     g = growth_fit(el(2, [-2, 1]), 10)
@@ -881,7 +898,7 @@ def test_growth_fit_answers_above_the_layer_matrix_bound(capsys):
     assert (g.lam, g.mu, g.nu, g.n0, g.lambda0) == (1, 0, 2, 1, 0)
     assert main(["--format", "json", "growth", "p=2 coeffs=[-2,1]", "--n-max", "10"]) == 0
     assert json.loads(capsys.readouterr().out)["e_values"][10] == 12
-    with pytest.raises(ValueError, match="p\\^n = 256 exceeds the configured bound 128"):
+    with pytest.raises(ValueError, match="^n = 8: p\\^n = 2\\^8 exceeds the configured bound 128$"):
         quotient_order(el(2, [-2, 1]), 8)
 
 
@@ -964,8 +981,8 @@ def test_series_text_refuses_a_term_past_K(argv, text, k, command, capsys):
     with pytest.raises(ValueError) as err:
         LambdaElement.from_text(text, t_prec=k)
     assert str(err.value) == message
-    assert main(argv + [command, text]) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    last = _series_refusal(argv + [command, text], capsys)
+    assert last == f"iwasawa: error: argument f: {message}"
     # zeros past K state nothing, so they pass
     zeros = LambdaElement.from_text("p=3 K=2 coeffs=[-3,1,0,0]")
     assert zeros.to_text() == "p=3 N=30 K=2 coeffs=[-3,1]"
@@ -980,8 +997,8 @@ def test_growth_of_a_zero_series_is_refused(capsys):
 def test_series_text_needs_both_brackets(text, capsys):
     with pytest.raises(ValueError, match=r"coeffs=\[\.\.\.\]"):
         LambdaElement.from_text(text)
-    assert main(["growth", text]) == 1
-    assert capsys.readouterr().err == "error: need coeffs=[...] with both brackets\n"
+    last = _series_refusal(["growth", text], capsys)
+    assert last == "iwasawa: error: argument f: need coeffs=[...] with both brackets"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -994,8 +1011,7 @@ def test_series_text_refuses_a_stray_repeated_or_non_integer_field(text, message
     with pytest.raises(ValueError) as err:
         LambdaElement.from_text(text)
     assert str(err.value) == message
-    assert main(["growth", text]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert _series_refusal(["growth", text], capsys) == f"iwasawa: error: argument f: {message}"
 
 
 def test_series_text_takes_the_coefficients_from_their_own_field():

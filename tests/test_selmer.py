@@ -70,6 +70,16 @@ def test_euler_char_refusals():
         euler_char(E["11a"], 5, GlobalAssumptions(sel_finite=False))
     with pytest.raises(EulerCharError):  # additive at p
         euler_char(E["768d1"], 2, TRIVIAL)
+    with pytest.raises(EulerCharError, match="positive declared rank"):
+        euler_char(E["11a"], 5, GlobalAssumptions(rank=1))
+
+
+@pytest.mark.parametrize("field", ["sel_vp", "rank"])
+def test_global_assumptions_refuse_a_negative_count(field):
+    # a rank of -1 once passed euler_char and was reported as a positive rank
+    with pytest.raises(ValueError, match=f"^{field} must be non-negative, got -1$"):
+        GlobalAssumptions(**{field: -1})
+    assert getattr(GlobalAssumptions(**{field: 0}), field) == 0
 
 
 def test_euler_char_split_multiplicative_at_p():
