@@ -17,11 +17,13 @@ from importlib import import_module
 _HOME = {
     "WeierstrassCurve": "curves", "ap_count": "curves", "classify_at_p": "curves",
     "quadratic_twist": "curves", "torsion": "curves",
-    "LambdaElement": "lambda_algebra", "growth_fit": "lambda_algebra",
+    "LambdaElement": "lambda_algebra", "evaluate_Lp": "lambda_algebra",
+    "growth_fit": "lambda_algebra",
     "mu_lambda": "lambda_algebra", "weierstrass_prepare": "lambda_algebra",
     "PadicNumber": "padics", "iwasawa_log": "padics", "unit_decompose": "padics",
     "real_period": "periods",
-    "GlobalAssumptions": "selmer", "euler_char": "selmer", "twist_lambda": "selmer",
+    "GlobalAssumptions": "selmer", "euler_char": "selmer", "local_kernels": "selmer",
+    "twist_lambda": "selmer",
     "LocalData": "tate", "conductor": "tate", "tate_local": "tate", "tate_period": "tate",
 }
 

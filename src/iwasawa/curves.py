@@ -1,8 +1,9 @@
 """Elliptic curves over Q: invariants, group law, counting, torsion, twists.
 
 Everything is exact: curve coefficients are arbitrary-precision integers
-and points have Fraction coordinates.  The chord-tangent group law is
-written generically so the same code runs over Q and over number fields.
+and points have Fraction coordinates.  The chord-tangent group law, and
+`group_law`, its one checked form, are written generically so the same
+code runs over Q and over number fields.
 """
 
 from __future__ import annotations
@@ -165,24 +166,14 @@ def ec_mul(ainvs, n, P):
     return acc
 
 
-def point_arith(E: WeierstrassCurve, P, Q=None, n=None):
-    """Add two points or compute a scalar multiple, with on-curve checks."""
-    a = tuple(Fraction(v) for v in E.ainvs())
-    P = _frac_point(P)
-    if not on_curve(a, P):
-        raise ValueError(f"{P} is not on {E}")
-    if n is not None:
-        return ec_mul(a, n, P)
-    Q = _frac_point(Q)
-    if not on_curve(a, Q):
-        raise ValueError(f"{Q} is not on {E}")
-    return ec_add(a, P, Q)
-
-
-def _frac_point(P):
-    if P is None:
-        return None
-    return (Fraction(P[0]), Fraction(P[1]))
+def group_law(ainvs, P, Q=None, n=None):
+    """P + Q, or [n]P when n is given, after checking that each point
+    given lies on the curve (ValueError); ainvs and the coordinates live
+    in one field, Fractions or number-field elements."""
+    for R in (P,) if n is not None else (P, Q):
+        if not on_curve(ainvs, R):
+            raise ValueError(f"{R} is not on the curve")
+    return ec_add(ainvs, P, Q) if n is None else ec_mul(ainvs, n, P)
 
 
 # -- point counting over F_p ---------------------------------------------
@@ -230,21 +221,23 @@ def _root_weights(p: int) -> bytes:
 
 def ap_count(E: WeierstrassCurve, p: int) -> int:
     """Trace of Frobenius a_p = p + 1 - |E~(F_p)| at a good prime."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    return _good_local(E, p).a_ell  # tate._finish checked the Hasse bound
+
+
+def classify_at_p(E: WeierstrassCurve, p: int):
+    """(reduction, anomalous) at a good prime, as `tate_local` flags them:
+    supersingular iff a_p = 0 mod p, anomalous iff a_p = 1 mod p."""
+    loc = _good_local(E, p)
+    return ("supersingular" if loc.supersingular else "ordinary"), loc.anomalous
+
+
+def _good_local(E, p):
+    """tate_local(E, p), refused (ValueError) unless p is a good prime."""
     from .tate import tate_local  # local import: tate needs curves
     loc = tate_local(E, p)
     if loc.kind != "good":
         raise ValueError(f"bad reduction at {p}")
-    return loc.a_ell  # tate._finish checked the Hasse bound
-
-
-def classify_at_p(E: WeierstrassCurve, p: int):
-    """(reduction, anomalous) at a good prime: supersingular iff a_p = 0 mod p,
-    anomalous iff a_p = 1 mod p (equivalently p divides |E~(F_p)|)."""
-    ap = ap_count(E, p)
-    kind = "supersingular" if ap % p == 0 else "ordinary"
-    return kind, ap % p == 1
+    return loc
 
 
 # -- torsion --------------------------------------------------------------

@@ -179,10 +179,6 @@ def dataset_load():
     return [DatasetEntry(lbl, a, ann, _SRC) for lbl, a, ann in _ENTRIES]
 
 
-def dataset_extras():
-    return [DatasetEntry(lbl, a, ann, _SRC) for lbl, a, ann in _EXTRAS]
-
-
 def lookup(label: str, extra: dict | None = None) -> DatasetEntry:
     """Find a dataset entry by label; '11a1' style aliases accepted, and a
     user-supplied mapping label -> a-invariants fills table-only rows."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import count, product
 
 from .curves import WeierstrassCurve, count_points, quadratic_twist
-from .padics import centered, is_prime, legendre
+from .padics import centered, is_prime, legendre, require_prime
 from .tate import _cubic_shape, tate_local
 
 SEARCH_PRIME_BOUND = 10 ** 5
@@ -39,13 +39,11 @@ class ForgeSpec:
         if set(ps) & set(ls):
             raise ValueError("P and L must be disjoint")
         for p, a in self.good:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            require_prime(p)
             if a * a >= 4 * p:
                 raise ValueError(f"|a_p*| = {abs(a)} violates the Hasse bound at {p}")
         for l, a, c in self.mult:
-            if not is_prime(l):
-                raise ValueError(f"{l} is not prime")
+            require_prime(l)
             if a not in (1, -1):
                 raise ValueError("multiplicative trace must be +1 or -1")
             if c < 1:
@@ -53,8 +51,7 @@ class ForgeSpec:
             if a == -1 and c not in (1, 2):
                 raise ValueError("nonsplit reduction allows c* = 1 or 2 only")
         for q in self.irreducible:
-            if not is_prime(q):
-                raise ValueError(f"{q} is not prime")
+            require_prime(q)
 
     @classmethod
     def from_dict(cls, d):
@@ -121,8 +118,7 @@ def deuring_search(p: int, a_target: int, seed: int = 0):
     nonsingular draws, screened ones included, ForgeError is raised.
     Returns integer a-invariants in [0, p).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     if a_target * a_target >= 4 * p:
         raise ValueError("target trace violates the Hasse bound")
     if p > SEARCH_PRIME_BOUND:
@@ -179,8 +175,7 @@ def irreducibility_witness(q: int, avoid=()):
     q odd: supersingular a_r = 0 over a prime r with -r a nonresidue
     mod q, so the characteristic polynomial t^2 + r has no root mod q.
     """
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
+    require_prime(q)
     r = 3
     while True:
         r = _next_prime(r)

@@ -23,8 +23,8 @@ from .padics import (
     _poly_mod,
     _strip,
     centered,
-    is_prime,
     padic_pow,
+    require_prime,
     valuation,
 )
 
@@ -52,8 +52,7 @@ class LambdaElement:
     __slots__ = ("p", "coeff_prec", "coeffs")
 
     def __init__(self, p, coeffs, coeff_prec=DEFAULT_COEFF_PREC, t_prec=None):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        require_prime(p)
         if coeff_prec < 1:
             raise PrecisionError("coefficient precision below one digit")
         mod = p ** coeff_prec
@@ -185,10 +184,6 @@ def _int_field(key, val):
         raise ValueError(f"series text field {key} must be an integer, got {val!r}") from None
 
 
-def one(p, coeff_prec=DEFAULT_COEFF_PREC, t_prec=DEFAULT_T_PREC):
-    return LambdaElement(p, [1], coeff_prec, t_prec)
-
-
 # -- mu, lambda and preparation ----------------------------------------
 
 
@@ -295,7 +290,7 @@ def weierstrass_prepare(f: LambdaElement):
     q, r = _weierstrass_divide(_monomial(p, lam, n, k), g, lam)
     d_el = _monomial(p, lam, n_d, k) - r.truncate(coeff_prec=n_d)
     dist = DistinguishedPoly(p, tuple(d_el.coeffs[: lam + 1]), n_d)
-    unit = _divide(one(p, n, k), q)
+    unit = _divide(_monomial(p, 0, n, k), q)
     recon = dist.as_element(k).truncate(coeff_prec=n) * unit
     for i in range(k):
         allow = max(1, min(n_d, (k - lam - i) // lam - 1))
@@ -332,25 +327,7 @@ def _prepared_pair(f: LambdaElement, g: LambdaElement):
     return n, d_f, u_f, u_g
 
 
-def mod_p_shape(f: LambdaElement) -> int:
-    """For mu(f) = 0 the reduction mod p is (unit series) * T^lambda; returns lambda."""
-    mu, lam = mu_lambda(f)
-    if mu > 0:
-        raise ValueError(f"mu(f) = {mu} > 0: no clean shape mod p")
-    return lam  # mu = 0: lam is the first index whose coefficient is a unit
-
-
 # -- layer elements and quotient orders ---------------------------------
-
-
-def theta(n: int, p: int, coeff_prec=DEFAULT_COEFF_PREC, t_prec=DEFAULT_T_PREC):
-    """(1 + T)^(p^n) - 1, truncated.  theta(0) = T."""
-    coeffs = theta_poly_int(n, p)
-    if len(coeffs) > t_prec:
-        import warnings
-        warnings.warn(f"theta_{n} has degree {p ** n} >= T-precision {t_prec}: truncated",
-                      stacklevel=2)
-    return LambdaElement(p, coeffs[:t_prec], coeff_prec, t_prec)
 
 
 def theta_poly_int(n: int, p: int):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .curves import WeierstrassCurve, _integer_cubic_roots, ec_add, ec_mul, on_curve
-from .padics import is_prime, valuation
+from .curves import WeierstrassCurve, _integer_cubic_roots, group_law
+from .padics import require_prime, valuation
 from .tate import tate_local
 
 
@@ -65,12 +65,7 @@ def classify_two_torsion(E: WeierstrassCurve, P) -> tuple:
     unique real 2-torsion point (disc < 0), or the one with strictly
     minimal x-coordinate (disc > 0).
     """
-    P = (Fraction(P[0]), Fraction(P[1]))
-    a = tuple(Fraction(v) for v in E.ainvs())
-    if not on_curve(a, P):
-        raise ValueError("point not on the curve")
-    if ec_add(a, P, P) is not None or P is None:
-        raise ValueError("point is not of exact order 2")
+    P = _order_two_point(E, P)
     loc2 = tate_local(E, 2)
     if loc2.kind == "additive" or (loc2.kind == "good" and loc2.supersingular):
         raise ValueError("classifier needs good-ordinary or multiplicative reduction at 2")
@@ -83,6 +78,17 @@ def classify_two_torsion(E: WeierstrassCurve, P) -> tuple:
     A, _ = E.short_model()
     X = 36 * P[0] + 3 * E.b2
     return ramified, X < 0 and 3 * X * X + A > 0
+
+
+def _order_two_point(E, P):
+    """P with Fraction coordinates, refused (ValueError) unless it is a
+    rational point of exact order 2 on E; the identity None is refused first."""
+    if P is None:
+        raise ValueError("the identity is not a point of exact order 2")
+    P = (Fraction(P[0]), Fraction(P[1]))
+    if group_law(tuple(Fraction(v) for v in E.ainvs()), P, n=2) is not None:
+        raise ValueError(f"{P} is not a point of exact order 2")
+    return P
 
 
 # -- 2-isogenies --------------------------------------------------------------
@@ -123,12 +129,7 @@ def velu_2isogeny(E: WeierstrassCurve, P):
     Y^2 = X^3 + b2 X^2 + 8 b4 X + 16 b6; the image curve of
     y^2 = x(x^2+ax+b) is y^2 = x(x^2 - 2ax + (a^2-4b)).
     """
-    if P is None:
-        raise ValueError("kernel generator must be affine of order 2")
-    P = (Fraction(P[0]), Fraction(P[1]))
-    a_inv = tuple(Fraction(v) for v in E.ainvs())
-    if not on_curve(a_inv, P) or ec_add(a_inv, P, P) is not None:
-        raise ValueError("point is not a rational 2-torsion point")
+    P = _order_two_point(E, P)
     # X0 = 4x(P) is a rational root of X^3 + b2 X^2 + 8 b4 X + 16 b6, so an integer
     X0, _ = _quadruple_coords(E, P)
     sh = int(X0)
@@ -136,30 +137,6 @@ def velu_2isogeny(E: WeierstrassCurve, P):
     b = 3 * sh * sh + 2 * E.b2 * sh + 8 * E.b4
     cod = WeierstrassCurve(0, -2 * a, 0, a * a - 4 * b, 0)
     return cod, TwoIsogeny(E, cod, Fraction(P[0]), sh, a, b)
-
-
-def dual_composition_is_doubling(E, P, samples):
-    """Check phi-hat(phi(R)) = 2R for sample points R (dual test helper).
-
-    The composed map lands on the translated domain model rescaled by
-    (x, y) -> (16x, 64y), so doubling is compared through that scaling.
-    """
-    cod, phi = velu_2isogeny(E, P)
-    _, psi = velu_2isogeny(cod, (Fraction(0), Fraction(0)))
-    dom = (Fraction(0), Fraction(phi.a), Fraction(0), Fraction(phi.b), Fraction(0))
-    for R in samples:
-        if R is None:
-            continue
-        img = psi.push(phi.push(R))
-        Xr, Yr = _quadruple_coords(E, R)
-        twice = ec_mul(dom, 2, (Xr - phi._shift, Yr))
-        if img is None and twice is None:
-            continue
-        if twice is None or img is None:
-            return False
-        if img != (16 * twice[0], 64 * twice[1]):
-            return False
-    return True
 
 
 # -- propagation --------------------------------------------------------------
@@ -180,8 +157,7 @@ def mu_lower_bound(label: str, p: int, edges, curves: dict | None = None) -> MuV
     reachable from `label` than an isogeny class over Q holds is refused,
     and so is a p that is not prime.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     by_pair = {}
     adj = {}
     for e in edges:
@@ -286,7 +262,3 @@ def kramer_m4(c: int, d: int) -> WeierstrassCurve:
     u = 2 * c ** 4 - d ** 4
     w = 4 * (c * d) ** 4 - 4 * c ** 8
     return WeierstrassCurve(0, u, 0, w, u * w)
-
-
-def kramer_m4_minimal_disc(c: int, d: int):
-    return Fraction((c ** 4 - d ** 4) * c ** 4 * d ** 16, 16)

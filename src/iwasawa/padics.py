@@ -60,6 +60,13 @@ def is_prime(m: int) -> bool:
     return True
 
 
+def require_prime(m: int) -> int:
+    """m, or ValueError "m is not prime": the one refusal of a non-prime."""
+    if not is_prime(m):
+        raise ValueError(f"{m} is not prime")
+    return m
+
+
 def valuation(x, p: int):
     """p-adic valuation of an int or Fraction; None encodes +infinity (x = 0)."""
     if p < 2:
@@ -182,8 +189,7 @@ class PadicNumber:
 
     def __init__(self, p, v, u, n, _checked=False):
         if not _checked:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            require_prime(p)
             if n < 0 or (n == 0 and u != 0):
                 raise ValueError("need at least one significant digit")
             if u != 0:
@@ -205,8 +211,7 @@ class PadicNumber:
     @classmethod
     def from_rational(cls, p, x, digits=DEFAULT_DIGITS):
         x = Fraction(x)
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        require_prime(p)
         if x == 0:
             return cls.zero(p, digits)
         vn = valuation(x.numerator, p)
@@ -231,18 +236,6 @@ class PadicNumber:
     def valuation(self):
         """Valuation; None plays the role of +infinity for (apparent) zero."""
         return None if self.is_zero else self.v
-
-    def residue(self, k):
-        """The value modulo p^k as an integer in [0, p^k); requires v >= 0."""
-        if self.is_zero:
-            if self.abs_prec < k:
-                raise PrecisionError("residue requested beyond known precision")
-            return 0
-        if self.v < 0:
-            raise ValueError("not a p-adic integer")
-        if self.abs_prec < k:
-            raise PrecisionError("residue requested beyond known precision")
-        return (self.p ** self.v * self.u) % self.p ** k
 
     def with_precision(self, n):
         """Truncate (never extend) to n significant digits."""

@@ -159,9 +159,7 @@ def criterion_vanishing(E: WeierstrassCurve, p: int,
     """Surjectivity-onto-invariants test: p does not divide |E~(F_p)| and
     p divides no Tamagawa number away from p; with Sel = 0 as input the
     cyclotomic Selmer group vanishes too."""
-    locp = tate_local(E, p)
-    if locp.kind != "good" or locp.supersingular:
-        raise EulerCharError(f"needs good ordinary reduction at {p}")
+    locp = _good_ordinary(E, p)
     npts = p + 1 - locp.a_ell
     conds = [("p does not divide |E~(F_p)|", npts % p != 0,
               f"|E~(F_{p})| = {npts}" + (", anomalous" if npts % p == 0 else ""))]
@@ -185,9 +183,7 @@ def criterion_infinite(E: WeierstrassCurve, p: int,
     """Infinitude test at a good ordinary prime, for E(Q) without p-torsion:
     a nonzero Selmer input, an anomalous p, or p dividing some Tamagawa
     number each force the cyclotomic Selmer group to be infinite."""
-    locp = tate_local(E, p)
-    if locp.kind != "good" or locp.supersingular:
-        raise EulerCharError(f"needs good ordinary reduction at {p}")
+    locp = _good_ordinary(E, p)
     if torsion(E).order % p == 0:
         raise EulerCharError(f"E(Q) has {p}-torsion: hypothesis violated")
     clauses = [("(i) Sel(Q)_p nonzero", A.sel_vp > 0, f"v_p|Sel| = {A.sel_vp}"),
@@ -204,6 +200,14 @@ def criterion_infinite(E: WeierstrassCurve, p: int,
     trigger = next((n for n, ok, _ in clauses if ok), None)
     return CriterionReport(holds, tuple(clauses),
                            f"infinite via {trigger}" if holds else "no clause fires")
+
+
+def _good_ordinary(E, p):
+    """tate_local(E, p), refused (EulerCharError) unless good ordinary at p."""
+    locp = tate_local(E, p)
+    if locp.kind != "good" or locp.supersingular:
+        raise EulerCharError(f"needs good ordinary reduction at {p}")
+    return locp
 
 
 # -- parity / corank bookkeeping ---------------------------------------------

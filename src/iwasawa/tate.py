@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import CertificateError, WeierstrassCurve, count_points
-from .padics import PadicNumber, factor, is_prime, legendre, valuation
+from .padics import PadicNumber, factor, legendre, require_prime, valuation
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,8 @@ def _singular_point(E: WeierstrassCurve, ell):
     return x0, y0
 
 
-_COMPONENTS = {"I0": 1, "II": 1, "III": 2, "IV": 3, "I0*": 5, "IV*": 7, "III*": 8, "II*": 9}
+#: the number of components m of each additive type but I_n* (m = n + 5)
+_COMPONENTS = {"II": 1, "III": 2, "IV": 3, "I0*": 5, "IV*": 7, "III*": 8, "II*": 9}
 
 
 def tate_local(E: WeierstrassCurve, ell: int) -> LocalData:
@@ -136,14 +137,14 @@ def tate_local(E: WeierstrassCurve, ell: int) -> LocalData:
     loc = E._recall(ell)
     if loc is not None:
         return loc
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    loc = _tate_algorithm(E, ell)
+    loc = _tate_algorithm(E, require_prime(ell))
     return loc if loc.kind == "good" else E._remember(ell, loc)
 
 
 def _tate_algorithm(E, ell):
-    """tate_local's answer, computed afresh."""
+    """tate_local's answer, computed afresh: `classify` reads the type off
+    the current model, which is scaled down by ell while it is not
+    minimal, and `_finish` certifies the one answer."""
     cur = E
     u_tot, r_tot, s_tot, t_tot = 1, 0, 0, 0
 
@@ -155,34 +156,28 @@ def _tate_algorithm(E, ell):
         t_new = t_tot + u_tot ** 3 * t + u_tot ** 2 * s_tot * r
         u_tot, r_tot, s_tot, t_tot = u_tot * u, r_new, s_new, t_new
 
-    while True:
+    def classify():
+        """(kind, Tamagawa number, Kodaira symbol) of cur, or None when
+        cur is not minimal at ell."""
         vD = valuation(cur.disc, ell)
         if vD == 0:
-            return _finish(E, cur, ell, "good", 1, "I0", 0,
-                           (u_tot, r_tot, s_tot, t_tot))
+            return "good", 1, "I0"
         x0, y0 = _singular_point(cur, ell)
         if (x0, y0) != (0, 0):
             apply(r=x0, t=y0)
         a1, a2, a3, a4, a6 = cur.ainvs()
         if cur.b2 % ell:
             # multiplicative: type I_n with n = v(disc)
-            split = is_square_in_Qell(Fraction(-E.c4, E.c6), ell)
-            if split:
-                c = vD
-                kind = "multiplicative_split"
-            else:
-                c = 1 if vD % 2 else 2
-                kind = "multiplicative_nonsplit"
-            return _finish(E, cur, ell, kind, c, f"I{vD}", vD,
-                           (u_tot, r_tot, s_tot, t_tot))
+            if is_square_in_Qell(Fraction(-E.c4, E.c6), ell):
+                return "multiplicative_split", vD, f"I{vD}"
+            return "multiplicative_nonsplit", 1 if vD % 2 else 2, f"I{vD}"
         if a6 % ell ** 2:
-            return _finish(E, cur, ell, "additive", 1, "II", vD, (u_tot, r_tot, s_tot, t_tot))
+            return "additive", 1, "II"
         if cur.b8 % ell ** 3:
-            return _finish(E, cur, ell, "additive", 2, "III", vD, (u_tot, r_tot, s_tot, t_tot))
+            return "additive", 2, "III"
         if cur.b6 % ell ** 3:
             nroots = _quad_root_count(1, a3 // ell, -(a6 // ell ** 2), ell)
-            c = 3 if nroots else 1
-            return _finish(E, cur, ell, "additive", c, "IV", vD, (u_tot, r_tot, s_tot, t_tot))
+            return "additive", 3 if nroots else 1, "IV"
         # arrange ell | a1, a2; ell^2 | a3, a4; ell^3 | a6
         if ell == 2:
             apply(s=a2 % 2)
@@ -191,8 +186,7 @@ def _tate_algorithm(E, ell):
                 apply(t=2 * ((a6 // 4) % 2))
         else:
             apply(s=(-a1 * pow(2, -1, ell)) % ell)
-            a3_now = cur.a3
-            apply(t=(-a3_now * pow(2, -1, ell ** 2)) % ell ** 2)
+            apply(t=(-cur.a3 * pow(2, -1, ell ** 2)) % ell ** 2)
         a1, a2, a3, a4, a6 = cur.ainvs()
         if any(v % ell ** k for v, k in ((a1, 1), (a2, 1), (a3, 2), (a4, 2), (a6, 3))):
             raise CertificateError(f"the model at {ell} is not arranged for the cubic step")
@@ -200,8 +194,7 @@ def _tate_algorithm(E, ell):
         pc = [(a6 // ell ** 3) % ell, (a4 // ell ** 2) % ell, (a2 // ell) % ell]
         maxmult, alpha = _cubic_shape(*pc, ell)
         if maxmult == 1:  # alpha counts the roots
-            return _finish(E, cur, ell, "additive", 1 + alpha, "I0*", vD,
-                           (u_tot, r_tot, s_tot, t_tot))
+            return "additive", 1 + alpha, "I0*"
         apply(r=ell * alpha)  # the repeated root to 0
         if maxmult == 3:
             # triple root: look at Y^2 + (a3/l^2) Y - a6/l^4
@@ -210,29 +203,25 @@ def _tate_algorithm(E, ell):
             cc = (-(a6 // ell ** 4)) % ell
             nroots = _quad_root_count(1, b, cc, ell)
             if (b * b + 4 * (a6 // ell ** 4)) % ell:
-                c = 3 if nroots else 1
-                return _finish(E, cur, ell, "additive", c, "IV*", vD, (u_tot, r_tot, s_tot, t_tot))
+                return "additive", 3 if nroots else 1, "IV*"
             rho = (b * pow(2, -1, ell) * (ell - 1)) % ell if ell != 2 else (a6 // 16) % 2
             apply(t=ell ** 2 * rho)
             a1, a2, a3, a4, a6 = cur.ainvs()
             if a4 % ell ** 4:
-                return _finish(E, cur, ell, "additive", 2, "III*", vD, (u_tot, r_tot, s_tot, t_tot))
+                return "additive", 2, "III*"
             if a6 % ell ** 6:
-                return _finish(E, cur, ell, "additive", 1, "II*", vD, (u_tot, r_tot, s_tot, t_tot))
-            apply(u=ell)  # non-minimal model: scale down and restart
-            continue
+                return "additive", 1, "II*"
+            return None
         # double root: type I_m*
         m = 1
         mx = my = ell * ell
         while True:
             a1, a2, a3, a4, a6 = cur.ainvs()
-            xa2 = a2 // ell
             xa3 = a3 // my
             xa6 = a6 // (mx * my)
             if (xa3 * xa3 + 4 * xa6) % ell:
                 nroots = _quad_root_count(1, xa3, -xa6, ell)
-                c = 2 + (2 if nroots else 0)
-                break
+                return "additive", 2 + (2 if nroots else 0), f"I{m}*"
             rho = (xa6 % 2) if ell == 2 else (-xa3 * pow(2, -1, ell)) % ell
             apply(t=my * rho)
             my *= ell
@@ -243,8 +232,7 @@ def _tate_algorithm(E, ell):
             xa6 = a6 // (mx * my)
             if (xa4 * xa4 - 4 * xa2 * xa6) % ell:
                 nroots = _quad_root_count(xa2, xa4, xa6, ell)
-                c = 2 + (2 if nroots else 0)
-                break
+                return "additive", 2 + (2 if nroots else 0), f"I{m}*"
             if ell == 2:
                 rho = (xa6 * pow(xa2, -1, 2)) % 2
             else:
@@ -252,36 +240,34 @@ def _tate_algorithm(E, ell):
             apply(r=mx * rho)
             mx *= ell
             m += 1
-        return _finish(E, cur, ell, "additive", c, f"I{m}*", vD,
-                       (u_tot, r_tot, s_tot, t_tot))
+
+    while (found := classify()) is None:
+        apply(u=ell)  # non-minimal model: scale down and start over
+    return _finish(E, cur, ell, *found, (u_tot, r_tot, s_tot, t_tot))
 
 
-def _finish(E_orig, cur, ell, kind, c, kodaira, vD, transform):
+def _finish(E_orig, cur, ell, kind, c, kodaira, transform):
+    """The LocalData of the ell-minimal model cur, once it passes its
+    checks.  An additive f comes from Ogg's formula v(disc) = f + m - 1
+    (m the number of components), so Ogg cannot check it; tameness can:
+    additive reduction at ell >= 5 has f = 2 exactly."""
     u, r, s, t = transform
+    vD = valuation(cur.disc, ell)
     ordj = E_orig.ord_j(ell)
-    if kodaira == "I0":
-        m = 1
+    data = {}
+    if kind == "good":
+        f = 0
         ap = ell + 1 - count_points(cur, ell)
         if ap * ap >= 4 * ell:
             raise CertificateError(f"a_{ell} = {ap} violates the Hasse bound")
         data = dict(a_ell=ap, ordinary=ap % ell != 0,
                     supersingular=ap % ell == 0, anomalous=ap % ell == 1)
-    else:
-        data = {}
-        if kodaira in _COMPONENTS:
-            m = _COMPONENTS[kodaira]
-        elif kodaira.endswith("*"):
-            m = int(kodaira[1:-1]) + 5
-        else:
-            m = int(kodaira[1:])
-    if kind == "good":
-        f = 0
     elif kind.startswith("multiplicative"):
         f = 1
     else:
-        f = vD + 1 - m
-    if kind == "additive" and not (f >= 2 and c <= 4):
-        raise CertificateError(f"additive type {kodaira} at {ell} with f = {f} and c = {c}")
+        f = vD + 1 - (_COMPONENTS.get(kodaira) or int(kodaira[1:-1]) + 5)
+        if not (c <= 4 and (f == 2 if ell >= 5 else f >= 2)):
+            raise CertificateError(f"additive type {kodaira} at {ell} with f = {f} and c = {c}")
     if kind == "multiplicative_split" and (ordj is None or c != -ordj):
         raise CertificateError(f"split Tamagawa number {c} at {ell} is not -ord(j) = {ordj}")
     if kind == "multiplicative_nonsplit" and c != (1 if ordj % 2 else 2):

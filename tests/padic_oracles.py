@@ -12,7 +12,7 @@ exponential series, so exp(t log x) checks `padic_pow`.  All are slow but
 share no shortcut with `src/`.
 """
 
-from iwasawa.lambda_algebra import LambdaElement, TPrecisionError, one
+from iwasawa.lambda_algebra import LambdaElement, TPrecisionError
 from iwasawa.padics import PadicNumber
 from iwasawa.tate import _J_CAP, _extend_j_coeffs, j_expansion_coeff
 
@@ -79,7 +79,7 @@ def series_inverse(f):
 
 def int_power(x, k):
     """x^k for an integer k >= 0, by binary powering."""
-    acc = one(x.p, x.coeff_prec, x.t_prec)
+    acc = LambdaElement(x.p, [1], x.coeff_prec, x.t_prec)
     base = x
     while k:
         if k & 1:

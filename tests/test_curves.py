@@ -15,8 +15,8 @@ from iwasawa.curves import (
     classify_at_p,
     count_points,
     ec_add,
+    group_law,
     on_curve,
-    point_arith,
     quadratic_twist,
     torsion,
 )
@@ -86,6 +86,12 @@ def test_ap_paper_values():
 def test_ap_bad_reduction_rejected():
     with pytest.raises(ValueError):
         ap_count(E11, 11)
+
+
+@pytest.mark.parametrize("call", [ap_count, classify_at_p])
+def test_a_non_prime_is_refused_in_the_one_prime_refusal(call):
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        call(E11, 4)
 
 
 def test_hasse_bound_random_sweep():
@@ -260,30 +266,39 @@ def test_torsion_generators_have_exact_orders():
             assert point_order(E, gen, 14) == inv
 
 
+def _over_q(E):
+    return tuple(Fraction(v) for v in E.ainvs())
+
+
 def test_group_law_identity_and_negation():
-    P = (5, 5)
-    assert point_arith(E11, P, None) == (Fraction(5), Fraction(5))
-    assert point_arith(E11, P, n=1) == (Fraction(5), Fraction(5))
-    assert point_arith(E11, P, n=0) is None
+    P = (Fraction(5), Fraction(5))
+    assert group_law(_over_q(E11), P, None) == P
+    assert group_law(_over_q(E11), P, n=1) == P
+    assert group_law(_over_q(E11), P, n=0) is None
+    assert group_law(_over_q(E11), P, n=-1) == (5, -6)
 
 
 def test_group_law_torsion_order_five():
-    P = (5, 5)  # a 5-torsion point on the conductor-11 curve
-    assert point_arith(E11, P, n=5) is None
-    assert point_arith(E11, P, n=4) == point_arith(E11, point_arith(E11, P, n=2),
-                                                   point_arith(E11, P, n=2))
+    P = (Fraction(5), Fraction(5))  # a 5-torsion point on the conductor-11 curve
+    a = _over_q(E11)
+    assert group_law(a, P, n=5) is None
+    assert group_law(a, P, n=4) == group_law(a, group_law(a, P, n=2), group_law(a, P, n=2))
 
 
 def test_point_off_curve_rejected():
-    with pytest.raises(ValueError):
-        point_arith(E11, (1, 1), n=2)
+    P, off = (Fraction(5), Fraction(5)), (Fraction(1), Fraction(1))
+    for call in (lambda: group_law(_over_q(E11), off, n=2),
+                 lambda: group_law(_over_q(E11), P, off),
+                 lambda: group_law(_over_q(E11), off, P)):
+        with pytest.raises(ValueError, match=r"^\(Fraction\(1, 1\), Fraction\(1, 1\)\) is not on"):
+            call()
 
 
 def test_306_rank_one_bookkeeping():
     # P = (9, 54) generates the free part; 6P is a large honest rational point
-    P6 = point_arith(E306, (9, 54), n=6)
+    a = _over_q(E306)
+    P6 = group_law(a, (Fraction(9), Fraction(54)), n=6)
     assert P6 is not None
-    a = tuple(Fraction(v) for v in E306.ainvs())
     assert on_curve(a, P6)
     assert torsion(E306).describe() == "Z/6"
 

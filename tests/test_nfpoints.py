@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from iwasawa.curves import WeierstrassCurve, ec_add, on_curve
+from iwasawa.curves import WeierstrassCurve, ec_add, group_law, on_curve
 from iwasawa.nfpoints import (
     NumberField,
-    ec_group_law_nf,
     galois_apply,
     nf_ainvs,
     trace_to_subfield,
@@ -110,10 +109,11 @@ def test_group_law_over_cubic_field():
     beta = K.gen()
     E34 = WeierstrassCurve(1, 0, 0, -3, 1)
     P = (beta, -beta)
-    assert on_curve(nf_ainvs(E34, K), P)
-    twoP = ec_group_law_nf(E34, K, P, n=2)
-    assert on_curve(nf_ainvs(E34, K), twoP)
-    assert ec_group_law_nf(E34, K, P, Q=twoP) == ec_group_law_nf(E34, K, P, n=3)
+    a = nf_ainvs(E34, K)
+    assert on_curve(a, P)
+    twoP = group_law(a, P, n=2)
+    assert on_curve(a, twoP)
+    assert group_law(a, P, Q=twoP) == group_law(a, P, n=3)
 
 
 def test_division_point_identity():
@@ -121,14 +121,14 @@ def test_division_point_identity():
     beta = K.gen()
     E306 = WeierstrassCurve(1, -1, 0, -927, 11097)
     Q = (-6 * beta * beta + 9 * beta + 15, 15 * beta * beta - 48 * beta + 9)
-    assert ec_group_law_nf(E306, K, Q, n=3) == (K([9]), K([54]))
+    assert group_law(nf_ainvs(E306, K), Q, n=3) == (K([9]), K([54]))
 
 
 def test_off_curve_rejected():
     K = NumberField([1, -3, 0, 1])
     E34 = WeierstrassCurve(1, 0, 0, -3, 1)
     with pytest.raises(ValueError):
-        ec_group_law_nf(E34, K, (K.gen(), K.gen()), n=2)
+        group_law(nf_ainvs(E34, K), (K.gen(), K.gen()), n=2)
 
 
 def test_galois_substitution():
@@ -186,7 +186,7 @@ def test_trace_of_rational_point_doubles():
     P = (K([0]), K([1]))  # the order-6 generator of the rational torsion
     assert on_curve(nf_ainvs(E34, K), P)
     tr = trace_to_subfield(E34, K, P, [0, -1])
-    assert tr == ec_group_law_nf(E34, K, P, n=2)
+    assert tr == group_law(nf_ainvs(E34, K), P, n=2)
 
 
 def test_sigma_must_be_involution():

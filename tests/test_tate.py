@@ -18,7 +18,7 @@ from iwasawa.curves import (
     quadratic_twist,
     torsion,
 )
-from iwasawa.dataset import dataset_extras, dataset_load
+from iwasawa.dataset import dataset_load, lookup
 from iwasawa.padics import FactorizationError, factor, is_prime, legendre, valuation
 from iwasawa.tate import (
     LocalData,
@@ -151,6 +151,28 @@ def test_tame_additive_types_by_construction():
         assert loc.kodaira == (f"I{n}*" if n else "I0*")
         assert loc.conductor_exponent == 2
         assert loc.tamagawa in (1, 2, 4)
+
+
+@pytest.mark.parametrize("ell", [5, 7])
+def test_every_unstarred_and_starred_tame_type_has_f_two(ell):
+    # y^2 = x^3 + ell^k (disc -432 ell^2k) and y^2 = x^3 + ell^k x (disc
+    # -64 ell^3k) walk through the additive types with v(disc_min) < 12;
+    # Ogg's formula v = f + m - 1 with f = 2 pins each component count m
+    cases = [((0, 0, 0, 0, ell ** k), kod, 2 * k)
+             for k, kod in zip(range(1, 6), ("II", "IV", "I0*", "IV*", "II*"))]
+    cases += [((0, 0, 0, ell ** k, 0), kod, 3 * k)
+              for k, kod in zip(range(1, 4), ("III", "I0*", "III*"))]
+    for ainvs, kodaira, v in cases:
+        loc = tate_local(WeierstrassCurve(*ainvs), ell)
+        assert (loc.kind, loc.kodaira, loc.ord_disc_min, loc.conductor_exponent) == (
+            "additive", kodaira, v, 2), ainvs
+
+
+def test_tame_conductor_is_certified(monkeypatch):
+    # one component too few makes Ogg's f = 3 at ell = 5, which tameness refuses
+    monkeypatch.setitem(tate._COMPONENTS, "IV*", 6)
+    with pytest.raises(CertificateError, match="^additive type IV\\* at 5 with f = 3 and c = 3$"):
+        tate_local(WeierstrassCurve(0, 0, 0, 0, 5 ** 4), 5)
 
 
 def test_point_map_to_minimal_model():
@@ -309,7 +331,7 @@ def test_bad_primes_valuation_rule_matches_tate_algorithm():
     # at ell >= 5, bad_primes decides from valuations; Tate's algorithm,
     # here at every ell <= 10^5 dividing disc, is the oracle: the dataset,
     # its extras and small curves u-scaled (not minimal) or twisted (additive)
-    curves = [e.curve() for e in dataset_load() + dataset_extras()]
+    curves = [e.curve() for e in dataset_load() + [lookup("15a3")]]
     rng = random.Random(13)
     while len(curves) < 400:
         u, d = rng.choice((1, 5, 7, 11, 13, 35)), rng.choice((1, 1, 5, 7, -11, 13))
@@ -394,7 +416,7 @@ def test_memoized_local_data_matches_fresh_curves(monkeypatch):
             factored[n] = factor(n)
         return factored[n]
     monkeypatch.setattr(tate, "factor", factor_once)
-    dataset = [e.curve() for e in dataset_load() + dataset_extras()]
+    dataset = [e.curve() for e in dataset_load() + [lookup("15a3")]]
     checked = 0
     for E1 in dataset + _random_curves(200, seed=10):
         a = E1.ainvs()

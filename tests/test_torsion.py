@@ -17,7 +17,7 @@ from pathlib import Path
 
 from iwasawa import curves
 from iwasawa.curves import SingularCurveError, WeierstrassCurve, torsion
-from iwasawa.dataset import dataset_extras, dataset_load
+from iwasawa.dataset import dataset_load, lookup
 from iwasawa.padics import FactorizationError
 from torsion_oracle import lutz_nagell_torsion, point_order
 
@@ -151,7 +151,7 @@ def test_lift_matches_lutz_nagell_on_every_mazur_shape():
 
 
 def test_lift_matches_lutz_nagell_on_the_dataset():
-    for entry in dataset_load() + dataset_extras():
+    for entry in dataset_load() + [lookup("15a3")]:
         E = entry.curve()
         assert torsion(E) == lutz_nagell_torsion(E)
 
@@ -177,7 +177,7 @@ def _depressed(r1, r2):
 
 def test_torsion_never_factors(monkeypatch):
     monkeypatch.setattr(curves, "factor", _refuse)
-    for entry in dataset_load() + dataset_extras():
+    for entry in dataset_load() + [lookup("15a3")]:
         assert torsion(entry.curve()).describe() == entry.annotations["torsion"]
     assert torsion(WeierstrassCurve(0, 0, 1, -7, 10 ** 12 + 39)).describe() == "trivial"
     a = (2 ** 31 - 2) // 3  # 715827882
