@@ -17,7 +17,7 @@ from itertools import count, product
 
 from .curves import WeierstrassCurve, count_points, quadratic_twist
 from .padics import centered, is_prime, legendre, require_prime
-from .tate import _cubic_shape, tate_local
+from .tate import _cubic_shape, _lone_root, tate_local
 
 SEARCH_PRIME_BOUND = 10 ** 5
 T_CAP = 64
@@ -48,6 +48,9 @@ class ForgeSpec:
                 raise ValueError("multiplicative trace must be +1 or -1")
             if c < 1:
                 raise ValueError("Tamagawa target must be positive")
+            if c > T_CAP - 2:
+                raise ValueError(f"Tamagawa target {c} at {l} exceeds {T_CAP - 2}: "
+                                 f"its CRT exponent c* + 2 would pass T_CAP = {T_CAP}")
             if a == -1 and c not in (1, 2):
                 raise ValueError("nonsplit reduction allows c* = 1 or 2 only")
         for q in self.irreducible:
@@ -108,14 +111,14 @@ def deuring_search(p: int, a_target: int, seed: int = 0):
     seed and memory stays O(p).  A draw with trace -a_target is paired
     with its quadratic twist by the least nonresidue d, which has trace
     a_target; this halves the expected number of point counts.  For
-    p >= 5 a draw is counted only when its 2-torsion fits the target
-    (`_root_counts_fitting`), which skips over half the counts and no
+    p >= 5 a draw is counted only when its 2-part fits the target mod 4
+    (`_two_part_fits`), which skips about two thirds of the counts and no
     draw that would count right.  Each `count_points` is O(p) and about
     sqrt(p) draws are expected, so a search near SEARCH_PRIME_BOUND costs
-    O(p^1.5): five searches at p = 99971..99991 made 49 to 824 counts of
-    about 14 ms each and took 0.8 to 12 s (74 to 2400 counts and 1.0 to
-    41 s unscreened; 2 vCPUs, Intel Xeon, CPython 3.11).  After 40 p
-    nonsingular draws, screened ones included, ForgeError is raised.
+    O(p^1.5): five searches at p = 99971..99991 made 34 to 824 counts of
+    about 9 ms each and took 0.3 to 7.5 s (49 to 824 counts by root count
+    alone, 74 to 2400 unscreened; 2 vCPUs, Intel Xeon, CPython 3.11).
+    After 40 p nonsingular draws, screened ones included, ForgeError is raised.
     Returns integer a-invariants in [0, p).
     """
     require_prime(p)
@@ -136,12 +139,11 @@ def deuring_search(p: int, a_target: int, seed: int = 0):
         rng = random.Random(f"{seed}:{p}:{a_target}")
         candidates = (divmod(rng.randrange(p * p), p) for _ in count())
         d = _unit_nonsquare(p)
-    fits = _root_counts_fitting(want)
     tried = 0
     for A, B in candidates:
         if (4 * A ** 3 + 27 * B * B) % p == 0:  # singular mod p >= 5
             continue
-        if _cubic_shape(B, A, 0, p)[1] in fits:
+        if _two_part_fits(A, B, p, want):
             a = p + 1 - count_points(WeierstrassCurve(0, 0, 0, A, B), p)
             if a == a_target:
                 return (0, 0, 0, A, B)
@@ -153,11 +155,18 @@ def deuring_search(p: int, a_target: int, seed: int = 0):
     raise ForgeError(f"no curve with a_{p} = {a_target} after {40 * p} tries")
 
 
-def _root_counts_fitting(n):
-    """The root counts of x^3 + Ax + B mod p >= 5 that allow |E(F_p)| = n:
-    E[2](F_p) has 1, 2 or 4 points as the cubic has 0, 1 or 3 roots.  The
-    same for 2p + 2 - n, the count of the twist, so twist pairing holds."""
-    return (0,) if n % 2 else (1,) if n % 4 == 2 else (1, 3)
+def _two_part_fits(A, B, p, n):
+    """Whether nonsingular y^2 = h(x) = x^3 + Ax + B over F_p, p >= 5, can
+    have n points by its 2-part: E[2](F_p) has 1, 2 or 4 points as h has 0,
+    1 or 3 roots, and with one root e, 4 | |E(F_p)| exactly when (e, 0) is
+    in 2E(F_p), that is when h'(e) = 3e^2 + A is a square (2-descent, AEC
+    X.1.4).  The same holds for 2p + 2 - n, so twist pairing holds."""
+    roots = _cubic_shape(B, A, 0, p)[1]
+    if n % 2:
+        return roots == 0
+    if roots == 1:
+        return (legendre(3 * _lone_root(B, A, 0, p) ** 2 + A, p) == 1) == (n % 4 == 0)
+    return roots == 3 and n % 4 == 0
 
 
 def _curve_mod(p, ainvs):

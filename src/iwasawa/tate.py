@@ -92,8 +92,13 @@ def _cubic_shape(c0, c1, c2, ell):
         return 2, (9 * c0 - c2 * c1) * pow(2 * e, -1, ell) % ell
     if legendre(disc, ell) == -1:
         return 1, 1
-    # T^ell mod (P, ell) = a0 + a1 T + a2 T^2 by squarings, T^4 and T^3 reduced
-    # by T^3 = -(c2 T^2 + c1 T + c0); a set bit of ell then multiplies by T
+    return 1, 3 if _frobenius_of_T(c0, c1, c2, ell) == (0, 1, 0) else 0
+
+
+def _frobenius_of_T(c0, c1, c2, ell):
+    """T^ell mod (P, ell) = a0 + a1 T + a2 T^2 as (a0, a1, a2), for P as in
+    `_cubic_shape`: by squarings, T^4 and T^3 reduced by
+    T^3 = -(c2 T^2 + c1 T + c0); a set bit of ell then multiplies by T."""
     a0, a1, a2 = 0, 1, 0
     for bit in bin(ell)[3:]:
         r1, r2, r3, r4 = 2 * a0 * a1, a1 * a1 + 2 * a0 * a2, 2 * a1 * a2, a2 * a2
@@ -104,7 +109,22 @@ def _cubic_shape(c0, c1, c2, ell):
         a2 = r2 % ell
         if bit == "1":
             a0, a1, a2 = -a2 * c0 % ell, (a0 - a2 * c1) % ell, (a1 - a2 * c2) % ell
-    return 1, 3 if (a0, a1, a2) == (0, 1, 0) else 0
+    return a0, a1, a2
+
+
+def _lone_root(c0, c1, c2, ell):
+    """The root of P = T^3 + c2 T^2 + c1 T + c0 over F_ell, ell >= 5, if P has
+    no other there (gcd(T^ell - T, P) is then linear), else None."""
+    a0, a1, a2 = _frobenius_of_T(c0, c1, c2, ell)
+    f, g = [c0 % ell, c1 % ell, c2 % ell, 1], [a0, (a1 - 1) % ell, a2]  # lowest degree first
+    while any(g):
+        while not g[-1]:
+            g.pop()
+        while len(f) >= len(g):  # f mod g, one leading term at a time
+            q, k = f.pop() * pow(g[-1], -1, ell) % ell, len(f) - len(g) + 1
+            f[k:] = [(x - q * y) % ell for x, y in zip(f[k:], g)]
+        f, g = g, f
+    return -f[0] * pow(f[1], -1, ell) % ell if len(f) == 2 else None
 
 
 def _singular_point(E: WeierstrassCurve, ell):

@@ -9,7 +9,8 @@ object, and the integer flags.  Mutations are wrong types, truncated JSON,
 missing and extra keys, huge integers, non-primes, boundary precisions, and
 argv itself (a dropped, repeated or unknown argument).  Sizes are capped so
 that a mutant that stays valid stays cheap: p < 2000, |a_i| <= 10^4, N and K
-<= 200, --n-max <= 64, and a forge Tamagawa target <= 200.
+<= 200, and --n-max <= 64.  A forge Tamagawa target is drawn up to 200;
+`ForgeSpec` refuses one above T_CAP - 2 = 62 by name.
 
 Every input must keep the contract of `cli.main`:
 - exit 0, 1 or 2 (argparse's SystemExit counts as an exit), and no other
@@ -20,8 +21,8 @@ Every input must keep the contract of `cli.main`:
   file that gives a table-only label a-invariants.
 
 Pytest does not collect this file (its name does not start with test_);
-tests/test_cli_fuzz.py imports it.  The script prints each breach and exits 1
-if there is any.
+tests/test_cli_boundary.py imports it.  The script prints each breach and
+exits 1 if there is any.
 """
 
 from __future__ import annotations

@@ -259,6 +259,17 @@ def test_cli_forge_refuses_a_prime_listed_twice(tmp_path, capsys, spec, message)
     assert last == f"iwasawa forge: error: argument --spec: {path}: {message}"
 
 
+@pytest.mark.parametrize("c_star", [63, 10 ** 4, 10 ** 30])
+def test_cli_forge_refuses_a_tamagawa_target_past_the_cap(tmp_path, capsys, c_star):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"L": [[3, 1, c_star]]}))
+    start = time.perf_counter()
+    last = _refused(["forge", "--spec", str(path)], capsys)
+    assert time.perf_counter() - start < 1
+    assert last == (f"iwasawa forge: error: argument --spec: {path}: Tamagawa target {c_star} "
+                    "at 3 exceeds 62: its CRT exponent c* + 2 would pass T_CAP = 64")
+
+
 _EDGE = {"from": "768d3", "to": "768d1", "degree": 5,
          "kernel": {"order": 5, "ramified": True, "odd": True, "provenance": "input"}}
 
