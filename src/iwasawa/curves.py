@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-from .padics import CertificateError, centered, factor, is_prime, valuation
+from .padics import CertificateError, centered, factor, is_prime, require_prime, valuation
 
 
 class SingularCurveError(ValueError):
@@ -182,7 +182,7 @@ AP_COUNT_BOUND = 10 ** 5
 
 
 def count_points(E: WeierstrassCurve, p: int) -> int:
-    """|E~(F_p)| by enumeration, refused (ValueError) above AP_COUNT_BOUND.
+    """|E~(F_p)| by enumeration, refused (ValueError) for non-prime p or p > AP_COUNT_BOUND.
 
     p = 2, 3: every (x, y) on the long model.  p >= 5: X = 36x + 3b2 gives
     108^2 z^2 = h(X) = X^3 + A X + B with A = -27c4, B = -54c6 mod p, and
@@ -195,13 +195,13 @@ def count_points(E: WeierstrassCurve, p: int) -> int:
     """
     if p > AP_COUNT_BOUND:
         raise ValueError(f"p = {p} exceeds the naive counting bound {AP_COUNT_BOUND}")
-    if p <= 3:
+    if p in (2, 3):
         a1, a2, a3, a4, a6 = E.ainvs()
         return 1 + sum(1 for x in range(p) for y in range(p)
                        if (y * y + a1 * x * y + a3 * y
                            - (x ** 3 + a2 * x * x + a4 * x + a6)) % p == 0)
-    A, B = -27 * E.c4 % p, -54 * E.c6 % p
     w = _root_weights(p)
+    A, B = -27 * E.c4 % p, -54 * E.c6 % p
     total = 1 + w[B]
     for X in range(1, (p + 1) // 2):
         u = (X * X + A) * X % p
@@ -211,8 +211,9 @@ def count_points(E: WeierstrassCurve, p: int) -> int:
 
 @lru_cache(maxsize=1)
 def _root_weights(p: int) -> bytes:
-    """w[t] = 1 + chi(t) mod p, twice over; one slot, as counts come in runs at one p."""
-    w = bytearray(p)
+    """w[t] = 1 + chi(t) mod p, twice over; one slot, as counts come in runs at
+    one p, so the refusal of a non-prime p is paid once per run."""
+    w = bytearray(require_prime(p))
     for t in range(1, (p + 1) // 2):
         w[t * t % p] = 2
     w[0] = 1

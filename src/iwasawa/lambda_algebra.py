@@ -20,6 +20,7 @@ from .padics import (
     PadicNumber,
     PrecisionError,
     _ilog,
+    _normalize,
     _poly_mod,
     _strip,
     centered,
@@ -691,19 +692,10 @@ def evaluate_Lp(f: LambdaElement, s, kappa_gamma: PadicNumber) -> PadicNumber:
     tval = padic_pow(kappa_gamma, s - 1) - 1
     acc = PadicNumber.zero(p, f.coeff_prec)
     for c in reversed(f.coeffs):
-        acc = acc * tval + _coeff_padic(p, c, f.coeff_prec)
+        acc = acc * tval + _normalize(p, 0, c, f.coeff_prec)
     if not tval.is_zero:
-        acc = acc._truncate_abs(min(acc.abs_prec, f.t_prec * tval.v))
+        acc = acc._truncate_abs(f.t_prec * tval.v)
     return acc
-
-
-def _coeff_padic(p, residue, n):
-    """A residue mod p^n as a PadicNumber with absolute precision n."""
-    if residue % p ** n == 0:
-        return PadicNumber.zero(p, n)
-    v = valuation(residue, p)
-    u = (residue // p ** v) % p ** (n - v)
-    return PadicNumber(p, v, u, n - v, _checked=True)
 
 
 def fe_solve(f: LambdaElement):
@@ -742,13 +734,13 @@ def fe_solve(f: LambdaElement):
     w_pow = LambdaElement(p, [w * b for b in _binomials(c_lift, f.t_prec)],
                           f.coeff_prec, f.t_prec)
     if g == w_pow * f:
-        return w, _coeff_padic(p, c_lift % p ** f.coeff_prec, f.coeff_prec)
+        return w, _normalize(p, 0, c_lift, f.coeff_prec)
     # fallback: derivative relation (k+1) X_{k+1} = (c-k) X_k at reduced precision
     k_hon = max(2, x.t_prec - d_f.degree * (n_cert + 1))
     for k in range(min(k_hon, x.t_prec) - 1):
         if ((k + 1) * x.coeffs[k + 1] - (c_res - k) * x.coeffs[k]) % mod:
             return None
-    return w, _coeff_padic(p, c_res, n_cert)
+    return w, _normalize(p, 0, c_res, n_cert)
 
 
 # -- presentations -------------------------------------------------------

@@ -2,9 +2,12 @@
 
 A nonzero p-adic number is stored as p^v * u where u is a unit known
 modulo p^n (n = number of significant digits).  Zero is a legitimate
-value: it carries the absolute precision to which all digits are known
-to vanish.  Every operation records the surviving precision, so results
-never silently pretend to more digits than the inputs support.
+value, stored as v = its absolute precision (all digits below p^v are
+known to vanish), u = 0 and n = 0.  Every operator relies on that: it
+forms p^v0 * x for an integer x known mod p^digits and hands it to
+`_normalize`, which needs no zero case of its own.  Every operation
+records the surviving precision, so results never silently pretend to
+more digits than the inputs support.
 """
 
 from __future__ import annotations
@@ -237,16 +240,6 @@ class PadicNumber:
         """Valuation; None plays the role of +infinity for (apparent) zero."""
         return None if self.is_zero else self.v
 
-    def with_precision(self, n):
-        """Truncate (never extend) to n significant digits."""
-        if self.is_zero:
-            return self
-        if n >= self.n:
-            return self
-        if n < 1:
-            raise PrecisionError("fewer than one significant digit")
-        return PadicNumber(self.p, self.v, self.u % self.p ** n, n, _checked=True)
-
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other):
@@ -255,37 +248,25 @@ class PadicNumber:
                 raise PrimeMismatchError(f"primes differ: {self.p} vs {other.p}")
             return other
         if isinstance(other, (int, Fraction)):
-            return PadicNumber.from_rational(self.p, other, max(self.n, 1) + max(self.v, 0) + 2)
+            return self.from_rational(self.p, other, max(self.n, 1) + max(self.v, 0) + 2)
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        p = self.p
-        if self.is_zero and other.is_zero:
-            return PadicNumber.zero(p, min(self.abs_prec, other.abs_prec))
-        if self.is_zero:
-            return other._truncate_abs(self.abs_prec)
-        if other.is_zero:
-            return self._truncate_abs(other.abs_prec)
-        a = min(self.abs_prec, other.abs_prec)
-        v0 = min(self.v, other.v)
-        if a <= v0:
-            return PadicNumber.zero(p, a)
-        mod = p ** (a - v0)
-        s = (p ** (self.v - v0) * self.u + p ** (other.v - v0) * other.u) % mod
-        if s == 0:
-            return PadicNumber.zero(p, a)
-        w = valuation(s, p)
-        return PadicNumber(p, v0 + w, (s // p ** w) % p ** (a - v0 - w), a - v0 - w, _checked=True)
+        p, v, w = self.p, self.v, other.v
+        a, v0 = min(v + self.n, w + other.n), min(v, w)
+        # a term at v >= a vanishes mod p^a, and so does a zero (v = its abs_prec)
+        x = self.u * p ** (v - v0) if v < a else 0
+        if w < a:
+            x += other.u * p ** (w - v0)
+        return _normalize(p, v0, x, a - v0)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_zero:
-            return self
-        return PadicNumber(self.p, self.v, (-self.u) % self.p ** self.n, self.n, _checked=True)
+        return _normalize(self.p, self.v, -self.u, self.n)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -300,25 +281,14 @@ class PadicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        p = self.p
-        if self.is_zero or other.is_zero:
-            # p^v * O(p^a) = O(p^(v+a))
-            if self.is_zero and other.is_zero:
-                a = min(self.abs_prec + other.v, other.abs_prec + self.v)
-            elif self.is_zero:
-                a = self.abs_prec + other.v
-            else:
-                a = other.abs_prec + self.v
-            return PadicNumber.zero(p, a)
-        n = min(self.n, other.n)
-        return PadicNumber(p, self.v + other.v, self.u * other.u % p ** n, n, _checked=True)
+        return _normalize(self.p, self.v + other.v, self.u * other.u, min(self.n, other.n))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero:
             raise ZeroDivisionError("inverse of (indistinguishable-from-)zero")
-        return PadicNumber(self.p, -self.v, pow(self.u, -1, self.p ** self.n), self.n, _checked=True)
+        return type(self)(self.p, -self.v, pow(self.u, -1, self.p ** self.n), self.n, _checked=True)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -332,30 +302,17 @@ class PadicNumber:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        result = PadicNumber(self.p, 0, 1, self.n if not self.is_zero else 1, _checked=True)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        n = self.n if k else max(self.n, 1)  # x^0 = 1 to one digit, even for x = O(p^a)
+        return _normalize(self.p, k * self.v, pow(self.u, k, self.p ** n), n)
 
     def _truncate_abs(self, a):
         """Truncate to absolute precision O(p^a)."""
-        if a >= self.abs_prec:
-            return self
-        if self.is_zero or a <= self.v:
-            return PadicNumber.zero(self.p, a)
-        return self.with_precision(a - self.v)
+        return _normalize(self.p, self.v, self.u, min(a, self.abs_prec) - self.v)
 
     def __eq__(self, other):
         """Equality at the joint precision."""
-        if isinstance(other, (int, Fraction)):
-            other = PadicNumber.from_rational(self.p, other, self.n + max(self.v, 0) + 1)
-        if not isinstance(other, PadicNumber):
-            return NotImplemented
-        return (self - other).is_zero
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else diff.is_zero
 
     def __hash__(self):
         raise TypeError("precision-carrying values are unhashable")
@@ -374,6 +331,19 @@ class PadicNumber:
             u, r = divmod(u, self.p)
             ds.append(str(r))
         return f"({','.join(ds)},...)*{self.p}^{self.v}"
+
+
+def _normalize(p, v, x, digits):
+    """p^v * x for an integer x known mod p^digits: O(p^(v + digits)) when
+    digits <= 0 or x vanishes there, else p^(v + v_p(x)) times a unit."""
+    x = x % p ** digits if digits > 0 else 0
+    if x == 0:
+        return PadicNumber(p, v + digits, 0, 0, _checked=True)
+    w = 0
+    while x % p == 0:
+        x //= p
+        w += 1
+    return PadicNumber(p, v + w, x, digits - w, _checked=True)
 
 
 def unit_decompose(x: PadicNumber):
@@ -399,45 +369,20 @@ def unit_decompose(x: PadicNumber):
 
 
 def iwasawa_log(x: PadicNumber) -> PadicNumber:
-    """log_p with the normalization log_p(p) = 0.
+    """log_p with the normalization log_p(p) = 0, by one modular power.
 
-    The p-power part and the Teichmuller part are discarded; what is
-    left is log(1 + t) = sum (-1)^(k+1) t^k / k on the principal unit.
+    With u the unit part and m = p^n, z = u^((p-1)m) is known mod m^2, and
+    v(z - 1) >= n + 1 (the power kills the torsion of u).  Every term of
+    log z = (z - 1) - (z - 1)^2 / 2 + ... after the first lies at valuation
+    >= 2n + 1, so log u = (z - 1) / ((p-1)m) mod p^n.
     """
     if x.is_zero:
         raise ValueError("log of (indistinguishable-from-)zero")
-    p = x.p
-    unit = PadicNumber(p, 0, x.u, x.n, _checked=True)
-    _, principal = unit_decompose(unit)
-    return _log_one_plus(principal - 1)
-
-
-def _log_one_plus(t: PadicNumber) -> PadicNumber:
-    p = t.p
-    if t.is_zero:
-        return PadicNumber.zero(p, t.abs_prec)
-    if t.v < 1 or (p == 2 and t.v < 2):
-        raise ValueError("log series needs a principal unit argument")
-    target = t.abs_prec
-    # guard digits absorb the /k losses; v(t^k/k) >= k*v(t) - log_p(k)
-    guard = 2
-    while p ** guard < target + guard:
-        guard += 1
-    # the unit part is an exact residue, so more digits only re-label it;
-    # the result is truncated back to the honest target
-    work = PadicNumber(p, t.v, t.u, target + guard - t.v, _checked=True)
-    acc = PadicNumber.zero(p, target + guard)
-    power = work
-    k = 1
-    while k * t.v - _ilog(k, p) < target:
-        term = power / PadicNumber.from_rational(p, k, work.n)
-        acc = acc + (term if k % 2 else -term)
-        power = power * work
-        k += 1
-    result = acc._truncate_abs(target)
-    if not result.is_zero and result.n < 1:
-        raise PrecisionError("log lost all significant digits")
-    return result
+    p, m = x.p, x.p ** x.n
+    if p == 2 and x.n < 2:
+        raise PrecisionError("p = 2 needs at least 2 digits to see the sign")
+    z = pow(x.u, (p - 1) * m, m * m)
+    return _normalize(p, 0, (z - 1) // m * pow(p - 1, -1, m), x.n)
 
 
 def padic_pow(x: PadicNumber, t: PadicNumber) -> PadicNumber:

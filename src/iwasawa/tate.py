@@ -354,7 +354,9 @@ def _sigma3(n):
 
 
 def j_expansion_coeff(n: int) -> int:
-    """Coefficient of q^n in j(q) (n >= -1)."""
+    """Coefficient of q^n in j(q), for -1 <= n <= _J_CAP; ValueError elsewhere."""
+    if not -1 <= n <= _J_CAP:
+        raise ValueError(f"j_expansion_coeff needs -1 <= n <= {_J_CAP}, got n = {n}")
     _extend_j_coeffs(n + 2)
     return _J_COEFFS[n + 1]
 

@@ -1,20 +1,277 @@
-"""Earlier forms of `tate_period`, `involution`, series division,
-(1+T)^c, `min_generators` and the p-adic exponential, kept as the oracles
-the library versions are tested against.
+"""Earlier forms of the PadicNumber operators, `iwasawa_log`, `tate_period`,
+`involution`, series division, (1+T)^c, `min_generators` and the p-adic
+exponential, kept as the oracles the library versions are tested against.
 
-`tate_period` iterates q <- 1 / (j - sum c_n q^n) on PadicNumber objects
-and re-substitutes through the same q-expansion; `involution` composes f
-with (1+T)^(-1) - 1 by Horner's rule, one truncated product per
+    PYTHONPATH=src python tests/padic_oracles.py --count 20000 --seed 1
+
+`ParentPadic` is a PadicNumber whose +, *, negation, powers, truncation
+and == are the earlier ones: a zero case per operator, truncation through
+`with_precision` and powers by squaring, each result built with type(self).
+`iwasawa_log` sums the log series on it with guard digits, and
+`coeff_padic` reads a residue mod p^n by hand.  `run` compares them with
+the library on seeded operand pairs, in (v, u, n) or in the exception's
+type and message; pytest does not collect this file, tests/test_padics.py
+imports it, and as a script it prints each breach and exits 1 if there is
+any.  `tate_period` iterates q <- 1 / (j - sum c_n q^n) on ParentPadic
+objects and re-substitutes through the same q-expansion; `involution`
+composes f with (1+T)^(-1) - 1 by Horner's rule, one truncated product per
 coefficient; `series_inverse` doubles by Newton's step x <- x(2 - fx) and
 `int_power` powers by squaring, both on truncated products;
 `min_generators` eliminates over F_p by hand; `padic_exp` sums the
-exponential series, so exp(t log x) checks `padic_pow`.  All are slow but
-share no shortcut with `src/`.
+exponential series on ParentPadic, so exp(t log x) checks `padic_pow`.
+All are slow but share no shortcut with `src/`.
 """
 
+import argparse
+import random
+import sys
+from fractions import Fraction
+
+from iwasawa import padics
 from iwasawa.lambda_algebra import LambdaElement, TPrecisionError
-from iwasawa.padics import PadicNumber
+from iwasawa.padics import PadicNumber, PrecisionError, _ilog, unit_decompose
 from iwasawa.tate import _J_CAP, _extend_j_coeffs, j_expansion_coeff
+
+
+class ParentPadic(PadicNumber):
+    """PadicNumber with the earlier operators, closed under them."""
+
+    __slots__ = ()
+    __hash__ = PadicNumber.__hash__
+
+    def with_precision(self, n):
+        """Truncate (never extend) to n significant digits."""
+        if self.is_zero:
+            return self
+        if n >= self.n:
+            return self
+        if n < 1:
+            raise PrecisionError("fewer than one significant digit")
+        return type(self)(self.p, self.v, self.u % self.p ** n, n, _checked=True)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        p = self.p
+        if self.is_zero and other.is_zero:
+            return type(self).zero(p, min(self.abs_prec, other.abs_prec))
+        if self.is_zero:
+            return other._truncate_abs(self.abs_prec)
+        if other.is_zero:
+            return self._truncate_abs(other.abs_prec)
+        a = min(self.abs_prec, other.abs_prec)
+        v0 = min(self.v, other.v)
+        if a <= v0:
+            return type(self).zero(p, a)
+        mod = p ** (a - v0)
+        s = (p ** (self.v - v0) * self.u + p ** (other.v - v0) * other.u) % mod
+        if s == 0:
+            return type(self).zero(p, a)
+        w = padics.valuation(s, p)
+        return type(self)(p, v0 + w, (s // p ** w) % p ** (a - v0 - w), a - v0 - w, _checked=True)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        if self.is_zero:
+            return self
+        return type(self)(self.p, self.v, (-self.u) % self.p ** self.n, self.n, _checked=True)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        p = self.p
+        if self.is_zero or other.is_zero:
+            # p^v * O(p^a) = O(p^(v+a))
+            if self.is_zero and other.is_zero:
+                a = min(self.abs_prec + other.v, other.abs_prec + self.v)
+            elif self.is_zero:
+                a = self.abs_prec + other.v
+            else:
+                a = other.abs_prec + self.v
+            return type(self).zero(p, a)
+        n = min(self.n, other.n)
+        return type(self)(p, self.v + other.v, self.u * other.u % p ** n, n, _checked=True)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** (-k)
+        result = type(self)(self.p, 0, 1, self.n if not self.is_zero else 1, _checked=True)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    def _truncate_abs(self, a):
+        """Truncate to absolute precision O(p^a)."""
+        if a >= self.abs_prec:
+            return self
+        if self.is_zero or a <= self.v:
+            return type(self).zero(self.p, a)
+        return self.with_precision(a - self.v)
+
+    def __eq__(self, other):
+        """Equality at the joint precision."""
+        if isinstance(other, (int, Fraction)):
+            other = type(self).from_rational(self.p, other, self.n + max(self.v, 0) + 1)
+        if not isinstance(other, PadicNumber):
+            return NotImplemented
+        return (self - other).is_zero
+
+
+def iwasawa_log(x):
+    """log_p with log_p(p) = 0: the series log(1 + t) on the principal part."""
+    if x.is_zero:
+        raise ValueError("log of (indistinguishable-from-)zero")
+    _, principal = unit_decompose(ParentPadic(x.p, 0, x.u, x.n, _checked=True))
+    return _log_one_plus(principal - 1)
+
+
+def _log_one_plus(t):
+    p, cls = t.p, type(t)
+    if t.is_zero:
+        return cls.zero(p, t.abs_prec)
+    if t.v < 1 or (p == 2 and t.v < 2):
+        raise ValueError("log series needs a principal unit argument")
+    target = t.abs_prec
+    # guard digits absorb the /k losses; v(t^k/k) >= k*v(t) - log_p(k)
+    guard = 2
+    while p ** guard < target + guard:
+        guard += 1
+    # the unit part is an exact residue, so more digits only re-label it;
+    # the result is truncated back to the honest target
+    work = cls(p, t.v, t.u, target + guard - t.v, _checked=True)
+    acc = cls.zero(p, target + guard)
+    power = work
+    k = 1
+    while k * t.v - _ilog(k, p) < target:
+        term = power / cls.from_rational(p, k, work.n)
+        acc = acc + (term if k % 2 else -term)
+        power = power * work
+        k += 1
+    result = acc._truncate_abs(target)
+    if not result.is_zero and result.n < 1:
+        raise PrecisionError("log lost all significant digits")
+    return result
+
+
+def coeff_padic(p, residue, n):
+    """A residue mod p^n as a ParentPadic with absolute precision n."""
+    if residue % p ** n == 0:
+        return ParentPadic.zero(p, n)
+    v = padics.valuation(residue, p)
+    u = (residue // p ** v) % p ** (n - v)
+    return ParentPadic(p, v, u, n - v, _checked=True)
+
+
+#: p = 2 is drawn twice as often: its sign digit and q = 4 make it the edge case
+PRIMES = (2, 2, 3, 5, 7, 11)
+
+#: name -> f(x, y, k, a): y a p-adic number or a rational, k an exponent, a a precision
+OPERATIONS = {
+    "x + y": lambda x, y, k, a: x + y,
+    "y + x": lambda x, y, k, a: y + x,
+    "x - y": lambda x, y, k, a: x - y,
+    "y - x": lambda x, y, k, a: y - x,
+    "x * y": lambda x, y, k, a: x * y,
+    "y * x": lambda x, y, k, a: y * x,
+    "x / y": lambda x, y, k, a: x / y,
+    "y / x": lambda x, y, k, a: y / x,
+    "x ** k": lambda x, y, k, a: x ** k,
+    "-x": lambda x, y, k, a: -x,
+    "x._truncate_abs(a)": lambda x, y, k, a: x._truncate_abs(a),
+    "x == y": lambda x, y, k, a: x == y,
+    "y == x": lambda x, y, k, a: y == x,
+}
+
+
+def _outcome(op, *args):
+    """(p, v, u, n) of a p-adic result, a plain value, or the exception's type and message."""
+    try:
+        r = op(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return (r.p, r.v, r.u, r.n) if isinstance(r, PadicNumber) else r
+
+
+def _draw(rng, p):
+    """(v, u, n) of a PadicNumber: a zero for about 15% of draws, else
+    v in [-5, 6] and n in [1, 25]."""
+    if rng.random() < 0.15:
+        return rng.randint(-5, 30), 0, 0
+    n = rng.randint(1, 25)
+    u = rng.randrange(1, p ** n)
+    return rng.randint(-5, 6), u + (u % p == 0), n
+
+
+def _near(rng, p, x):
+    """(v, u, n) agreeing with a nonzero x = (v, u, n) to a random digit count,
+    so that x - y cancels and x == y can hold."""
+    v, u, n = x
+    m = rng.randint(1, 25)
+    return v, (u + p ** rng.randint(1, n + 2) * rng.randrange(p ** m)) % p ** m, m
+
+
+def _draw_rational(rng, p):
+    """An int or Fraction, zero or with p in its numerator or denominator now and then."""
+    num = rng.choice((0, 1, -1, p, -p ** 3, rng.randint(-10 ** 6, 10 ** 6)))
+    den = rng.choice((1, 1, p, p ** 2, rng.randint(1, 10 ** 4)))
+    return num if den == 1 else Fraction(num, den)
+
+
+def compare(p, x, y, k, a):
+    """The names of the operations on which the library and ParentPadic
+    differ, for x = (v, u, n) and y = (v, u, n) or a rational."""
+    new, old = PadicNumber(p, *x, _checked=True), ParentPadic(p, *x, _checked=True)
+    new_y, old_y = (y, y) if not isinstance(y, tuple) else \
+        (PadicNumber(p, *y, _checked=True), ParentPadic(p, *y, _checked=True))
+    out = [name for name, op in OPERATIONS.items()
+           if _outcome(op, new, new_y, k, a) != _outcome(op, old, old_y, k, a)]
+    if _outcome(padics.iwasawa_log, new) != _outcome(iwasawa_log, old):
+        out.append("log(x)")
+    # a residue mod p^n as fe and evaluate_Lp read it: signed, and zero mod p^n now and then
+    n = max(x[2], 1)
+    r = (1 if k % 2 else -1) * x[1] * p ** (a % (n + 2))
+    if _outcome(padics._normalize, p, 0, r, n) != _outcome(coeff_padic, p, r, n):
+        out.append("coefficient")
+    return out
+
+
+def run(seed, count):
+    """Breaches over `count` seeded pairs: (p, x, y, k, a, names) for each
+    pair on which some operation differs."""
+    rng = random.Random(seed)
+    breaches = []
+    for _ in range(count):
+        p = rng.choice(PRIMES)
+        x = _draw(rng, p)
+        kind = rng.random()
+        y = _draw_rational(rng, p) if kind < 0.25 else _near(rng, p, x) if kind < 0.4 and x[2] \
+            else _draw(rng, p)
+        k, a = rng.randint(-3, 9), rng.randint(x[0] - 3, x[0] + x[2] + 3)
+        names = compare(p, x, y, k, a)
+        if names:
+            breaches.append((p, x, y, k, a, names))
+    return breaches
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description="PadicNumber arithmetic against the earlier operators.")
+    ap.add_argument("--count", type=int, default=2000)
+    ap.add_argument("--seed", type=int, default=29)
+    args = ap.parse_args(argv)
+    breaches = run(args.seed, args.count)
+    for breach in breaches:
+        print(*breach)
+    print(f"{args.count} pairs, seed {args.seed}: {len(breaches)} breaches")
+    return 1 if breaches else 0
 
 
 def tate_period(E, ell, digits=20):
@@ -27,11 +284,11 @@ def tate_period(E, ell, digits=20):
     if nterms > _J_CAP:
         raise ValueError("requested precision needs too many q-expansion coefficients")
     _extend_j_coeffs(nterms + 2)
-    jE = PadicNumber.from_rational(ell, E.j, work)
+    jE = ParentPadic.from_rational(ell, E.j, work)
     q = jE.inverse()
     for _ in range(work):
-        tail = PadicNumber.zero(ell, work + c)
-        power = PadicNumber.from_rational(ell, 1, work)
+        tail = ParentPadic.zero(ell, work + c)
+        power = ParentPadic.from_rational(ell, 1, work)
         for n in range(nterms):
             tail = tail + j_expansion_coeff(n) * power
             power = power * q
@@ -43,7 +300,7 @@ def tate_period(E, ell, digits=20):
     if q.v != c:
         raise AssertionError("Tate period valuation mismatch")
     jval = q.inverse()
-    power = PadicNumber.from_rational(ell, 1, work)
+    power = ParentPadic.from_rational(ell, 1, work)
     for n in range(nterms):
         jval = jval + j_expansion_coeff(n) * power
         power = power * q
@@ -116,7 +373,7 @@ def padic_exp(t):
     """exp(t) for v(t) >= 1 (odd p) or v(t) >= 2 (p = 2), by its series."""
     p = t.p
     if t.is_zero:
-        return PadicNumber(p, 0, 1, max(t.abs_prec, 1))
+        return ParentPadic(p, 0, 1, max(t.abs_prec, 1))
     if t.v < 1 or (p == 2 and t.v < 2):
         raise ValueError("exp series diverges for this valuation")
     target = t.abs_prec
@@ -124,15 +381,19 @@ def padic_exp(t):
     while p ** guard < (p - 1) * target:
         guard += 1
     # the unit part is an exact residue, so more digits only re-label it
-    work = PadicNumber(p, t.v, t.u, target + guard - t.v)
-    acc = term = PadicNumber.from_rational(p, 1, target + guard)
+    work = ParentPadic(p, t.v, t.u, target + guard - t.v)
+    acc = term = ParentPadic.from_rational(p, 1, target + guard)
     k = 0
     # every term with index > k has valuation >= (k+1)*v(t) - k/(p-1),
     # so stop only once that bound clears the target
     while (k + 1) * t.v * (p - 1) - k < target * (p - 1):
         k += 1
-        term = term * work / PadicNumber.from_rational(p, k, work.n)
+        term = term * work / ParentPadic.from_rational(p, k, work.n)
         tv = term.valuation()
         if tv is not None and tv < target + guard:
             acc = acc + term
     return acc._truncate_abs(target)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -204,6 +204,14 @@ def test_count_points_refuses_past_the_bound():
         tate_local(E11, 100003)
 
 
+def test_count_points_refuses_a_non_prime_modulus():
+    # each once answered: 4 -> 4, 9 -> 10, 1 -> 2, 0 -> 1, -7 -> 1 points
+    for m in (4, 9, 1, 0, -7, 10 ** 5):
+        with pytest.raises(ValueError, match=f"^{m} is not prime$"):
+            count_points(E11, m)
+    assert count_points(E11, 5) == 5  # a refusal leaves the kept table usable
+
+
 def test_kept_table_across_interleaved_primes_and_curves():
     # p1, p2, p1, ...: every count at a prime whose table was just evicted,
     # or just kept, equals the long-model oracle on several curves each

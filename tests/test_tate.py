@@ -203,6 +203,15 @@ def test_j_expansion_coefficients():
     assert j_expansion_coeff(10) == 22567393309593600
 
 
+def test_j_expansion_coeff_refuses_outside_the_expansion_and_the_cap():
+    # j has no q^n term below n = -1; past the cap the table costs O(24 n^2)
+    j_expansion_coeff(1)  # fills the table, whose tail once answered for n < -1
+    for n in (-2, -5, tate._J_CAP + 1, 1600):
+        with pytest.raises(ValueError, match=f"^j_expansion_coeff needs -1 <= n <= 400, got n = {n}$"):
+            j_expansion_coeff(n)
+    assert j_expansion_coeff(tate._J_CAP) > 0
+
+
 def test_tate_period_conductor_11():
     q = tate_period(E["11a"], 11, digits=10)
     assert q.valuation() == 5
