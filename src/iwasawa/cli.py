@@ -157,15 +157,14 @@ def cmd_growth(args):
 def cmd_fe(args):
     from . import lambda_algebra as la
     f = args.f
-    res = la.fe_solve(f)
+    res, associate = la._fe_solve(f)
     if res is la.INDETERMINATE:
         payload = {"f": f.to_text(), "verdict": "indeterminate"}
     elif res is None:
-        payload = {"f": f.to_text(), "verdict": "no solution",
-                   "iota_associate": la.associates_check(f, la.involution(f))}
-    else:  # fe_solve solves only after associates_check's mu and d match, at its precision
+        payload = {"f": f.to_text(), "verdict": "no solution", "iota_associate": associate}
+    else:
         w, c = res
-        payload = {"f": f.to_text(), "w": w, "c": _small_lift(c), "iota_associate": True}
+        payload = {"f": f.to_text(), "w": w, "c": _small_lift(c), "iota_associate": associate}
     _emit(payload, args)
     return 0
 

@@ -195,7 +195,8 @@ def count_points(E: WeierstrassCurve, p: int) -> int:
     """
     if p > AP_COUNT_BOUND:
         raise ValueError(f"p = {p} exceeds the naive counting bound {AP_COUNT_BOUND}")
-    if p in (2, 3):
+    if p < 5:
+        require_prime(p)
         a1, a2, a3, a4, a6 = E.ainvs()
         return 1 + sum(1 for x in range(p) for y in range(p)
                        if (y * y + a1 * x * y + a3 * y
@@ -209,10 +210,10 @@ def count_points(E: WeierstrassCurve, p: int) -> int:
     return total
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def _root_weights(p: int) -> bytes:
     """w[t] = 1 + chi(t) mod p, twice over; one slot, as counts come in runs at
-    one p, so the refusal of a non-prime p is paid once per run."""
+    one p, so the refusal of a non-prime p is paid once per run (typed: 7.0 is not 7)."""
     w = bytearray(require_prime(p))
     for t in range(1, (p + 1) // 2):
         w[t * t % p] = 2

@@ -96,16 +96,7 @@ class LambdaElement:
         if isinstance(other, int):
             return LambdaElement(self.p, [other * a for a in self.coeffs], self.coeff_prec, self.t_prec)
         n, k = self._align(other)
-        mod = self.p ** n
-        out = [0] * k
-        for i, a in enumerate(self.coeffs[:k]):
-            if a == 0:
-                continue
-            for j in range(k - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % mod
-        return LambdaElement(self.p, out, n, k)
+        return LambdaElement(self.p, _product(self.coeffs, other.coeffs, self.p ** n, k), n, k)
 
     __rmul__ = __mul__
 
@@ -197,22 +188,33 @@ def mu_lambda(f: LambdaElement):
     return mu, vals.index(mu)
 
 
-def _divide(a: LambdaElement, b: LambdaElement) -> LambdaElement:
-    """a / b for a unit series b, exact mod (p^N, T^K), one coefficient at a time.
+# The kernels below take and return coefficient lists (ascending) and
+# check nothing; LambdaElement checks p once, where a series enters.
 
-    q_m = b_0^(-1) * (a_m - sum_{i=1..m} b_i q_(m-i)); no product is formed.
-    """
-    n, k = a._align(b)
-    p = a.p
-    if not b.coeffs or b.coeffs[0] % p == 0:
+
+def _product(a, b, mod, k):
+    """The first k coefficients of a * b, reduced mod `mod`."""
+    out = [0] * k
+    for i, x in enumerate(a[:k]):
+        if x:
+            for j, y in enumerate(b[:k - i]):
+                if y:
+                    out[i + j] = (out[i + j] + x * y) % mod
+    return out
+
+
+def _quotient(a, b, p, mod, k):
+    """The first k coefficients of a / b mod `mod` = p^N for a unit series b,
+    one at a time: q_m = b_0^(-1) * (a_m - sum_{i=1..m} b_i q_(m-i)); a has
+    at least k coefficients, and no product is formed."""
+    if not b or b[0] % p == 0:
         raise ValueError("divisor is not a unit series")
-    mod = p ** n
-    inv0 = pow(b.coeffs[0], -1, mod)
-    bs = b.coeffs[1:k]
+    inv0 = pow(b[0], -1, mod)
+    bs = b[1:k]
     q = []
     for m in range(k):
-        q.append((a.coeffs[m] - sum(map(mul, bs, reversed(q)))) * inv0 % mod)
-    return LambdaElement(p, q, n, k)
+        q.append((a[m] - sum(map(mul, bs, reversed(q)))) * inv0 % mod)
+    return q
 
 
 @dataclass(frozen=True)
@@ -238,31 +240,26 @@ class DistinguishedPoly:
         return LambdaElement(self.p, list(self.coeffs), self.coeff_prec, t_prec)
 
 
-def _weierstrass_divide(h: LambdaElement, g: LambdaElement, lam: int):
-    """h = q*g + r with deg r < lam, for g with mu(g) = 0, lambda(g) = lam.
+def _weierstrass_quotient(g, lam, p, n):
+    """q with q*g = T^lam - r, deg r < lam, mod (p^n, T^len(g)), for g with
+    mu(g) = 0 and lambda(g) = lam.
 
-    The low coefficients of g sit in pZ_p, so each sweep divides the
-    high-degree residual by another power of p; coeff_prec sweeps kill it.
+    With tau dropping the first lam terms, glow = g below T^lam and gbar =
+    tau(g), q is the fixed point of q -> (1 - tau(glow*q)) / gbar.  The first
+    sweep from q = 0 gives q mod p; glow sits in pZ_p[T], so each further
+    sweep fixes one more digit, and n sweeps reach it (the reconstruction
+    check in weierstrass_prepare is the backstop).
     """
-    p, n, k = g.p, min(g.coeff_prec, h.coeff_prec), min(g.t_prec, h.t_prec)
-    g = g.truncate(n, k)
-    h = h.truncate(n, k)
-    glow = LambdaElement(p, g.coeffs[:lam], n, k)
-    gbar = LambdaElement(p, g.coeffs[lam:], n, k)
-    tau_h = LambdaElement(p, h.coeffs[lam:], n, k)
-    # q is the unique fixed point of q -> tau(h - glow*q) / gbar; each
-    # sweep multiplies the correction by another factor in pZ_p, so n sweeps
-    # reach it (the reconstruction check in weierstrass_prepare is the backstop)
-    q = _divide(tau_h, gbar)
+    k, mod = len(g), p ** n
+    glow, gbar = g[:lam], g[lam:] + [0] * lam
+    q = [0] * k
     for _ in range(n):
-        corr = LambdaElement(p, (glow * q).coeffs[lam:], n, k)
-        q_new = _divide(tau_h - corr, gbar)
-        if q_new == q:
+        h = [-c for c in _product(glow, q, mod, k)[lam:]] + [0] * lam
+        h[0] += 1
+        q, prev = _quotient(h, gbar, p, mod, k), q
+        if q == prev:
             break
-        q = q_new
-    rem = h - q * g
-    r = LambdaElement(p, rem.coeffs[:lam], n, k)
-    return q, r
+    return q
 
 
 def weierstrass_prepare(f: LambdaElement):
@@ -280,28 +277,24 @@ def weierstrass_prepare(f: LambdaElement):
     n = f.coeff_prec - mu
     if n < 1:
         raise PrecisionError("p-power content exhausts the coefficient precision")
-    g = LambdaElement(p, [c // p ** mu for c in f.coeffs], n, k)
+    g = [c // p ** mu for c in f.coeffs]
     if lam == 0:
-        return mu, DistinguishedPoly(p, (1,), n), g
+        return mu, DistinguishedPoly(p, (1,), n), LambdaElement(p, g, n, k)
     if 2 * lam >= k:
         raise TPrecisionError(f"lambda = {lam} too large for T-precision {k}")
     n_d = min(n, (k - 2 * lam) // lam)
     if n_d < 1:
         raise TPrecisionError("T-precision too low to certify one digit of the factors")
-    q, r = _weierstrass_divide(_monomial(p, lam, n, k), g, lam)
-    d_el = _monomial(p, lam, n_d, k) - r.truncate(coeff_prec=n_d)
-    dist = DistinguishedPoly(p, tuple(d_el.coeffs[: lam + 1]), n_d)
-    unit = _divide(_monomial(p, 0, n, k), q)
-    recon = dist.as_element(k).truncate(coeff_prec=n) * unit
+    q = _weierstrass_quotient(g, lam, p, n)
+    # d = T^lam - r is q*g below T^lam, and 1 at T^lam
+    dist = DistinguishedPoly(p, tuple(_product(q, g, p ** n_d, lam)) + (1,), n_d)
+    unit = _quotient([1] + [0] * (k - 1), q, p, p ** n, k)
+    recon = _product(dist.coeffs, unit, p ** n_d, k)
     for i in range(k):
         allow = max(1, min(n_d, (k - lam - i) // lam - 1))
-        if (recon.coeffs[i] - g.coeffs[i]) % p ** allow:
+        if (recon[i] - g[i]) % p ** allow:
             raise CertificateError("preparation reconstruction failed")
-    return mu, dist, unit
-
-
-def _monomial(p, i, n, k):
-    return LambdaElement(p, [0] * i + [1], n, k)
+    return mu, dist, LambdaElement(p, unit, n, k)
 
 
 def associates_check(f: LambdaElement, g: LambdaElement):
@@ -710,37 +703,36 @@ def fe_solve(f: LambdaElement):
     the candidate exponent's symmetric lift is then certified exactly in
     the full truncated ring, with (1+T)^c from its binomial coefficients.
     """
+    return _fe_solve(f)[0]
+
+
+def _fe_solve(f: LambdaElement):
+    """(fe_solve(f), associates_check(f, iota(f))), from one preparation pair."""
     if f.is_zero():
         raise ZeroAtPrecision("fe_solve needs nonzero input")
     g = involution(f)
     pair = _prepared_pair(f, g)
     if pair is INDETERMINATE or pair is None:
-        return pair
+        return pair, pair or False  # INDETERMINATE, or None: (f) != (iota f)
     n_cert, d_f, u_f, u_g = pair
-    p = f.p
-    ratio = _divide(u_g, u_f)
-    mod = p ** n_cert
-    w0 = ratio.coeffs[0] % mod
-    if w0 == 1:
-        w = 1
-    elif w0 == mod - 1:
-        w = -1
-    else:
-        return None
-    x = ratio if w == 1 else -ratio
-    c_res = x.coeffs[1] % mod if x.t_prec > 1 else 0
+    p, k, mod = f.p, f.t_prec, f.p ** n_cert
+    ratio = _quotient(u_g.coeffs, u_f.coeffs, p, mod, k)
+    if ratio[0] not in (1, mod - 1):
+        return None, True
+    w = 1 if ratio[0] == 1 else -1
+    x = [w * c for c in ratio]
+    c_res = x[1] % mod if k > 1 else 0
     c_lift = centered(c_res, mod)
     # exact certification: iota(f) == w * (1+T)^c * f
-    w_pow = LambdaElement(p, [w * b for b in _binomials(c_lift, f.t_prec)],
-                          f.coeff_prec, f.t_prec)
+    w_pow = LambdaElement(p, [w * b for b in _binomials(c_lift, k)], f.coeff_prec, k)
     if g == w_pow * f:
-        return w, _normalize(p, 0, c_lift, f.coeff_prec)
-    # fallback: derivative relation (k+1) X_{k+1} = (c-k) X_k at reduced precision
-    k_hon = max(2, x.t_prec - d_f.degree * (n_cert + 1))
-    for k in range(min(k_hon, x.t_prec) - 1):
-        if ((k + 1) * x.coeffs[k + 1] - (c_res - k) * x.coeffs[k]) % mod:
-            return None
-    return w, _normalize(p, 0, c_res, n_cert)
+        return (w, _normalize(p, 0, c_lift, f.coeff_prec)), True
+    # fallback: derivative relation (i+1) X_{i+1} = (c-i) X_i at reduced precision
+    i_hon = max(2, k - d_f.degree * (n_cert + 1))
+    for i in range(min(i_hon, k) - 1):
+        if ((i + 1) * x[i + 1] - (c_res - i) * x[i]) % mod:
+            return None, True
+    return (w, _normalize(p, 0, c_res, n_cert)), True
 
 
 # -- presentations -------------------------------------------------------

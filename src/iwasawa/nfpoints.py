@@ -68,7 +68,7 @@ class NumberField:
         return NumberFieldElement(self, coeffs)
 
     def gen(self):
-        return self([0, 1] + [0] * (self.degree - 2)) if self.degree > 1 else self([0])
+        return self([0, 1])
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.g == other.g

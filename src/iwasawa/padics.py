@@ -5,7 +5,9 @@ modulo p^n (n = number of significant digits).  Zero is a legitimate
 value, stored as v = its absolute precision (all digits below p^v are
 known to vanish), u = 0 and n = 0.  Every operator relies on that: it
 forms p^v0 * x for an integer x known mod p^digits and hands it to
-`_normalize`, which needs no zero case of its own.  Every operation
+`_normalize`, which needs no zero case of its own.  The constructor
+checks a number from outside; `_normalize` builds every computed one
+and checks nothing, as its p was checked on the way in.  Every operation
 records the surviving precision, so results never silently pretend to
 more digits than the inputs support.
 """
@@ -40,8 +42,8 @@ class CertificateError(ArithmeticError):
 def is_prime(m: int) -> bool:
     """Miller-Rabin to the prime bases up to 41: proven below psi_13 =
     3317044064679887385961981 (Sorenson-Webster, Math. Comp. 86, 2017),
-    a probable-prime verdict above it."""
-    if m < 2:
+    a probable-prime verdict above it.  False for anything but an int."""
+    if not isinstance(m, int) or m < 2:
         return False
     for q in _SMALL_PRIMES:
         if m % q == 0:
@@ -190,15 +192,15 @@ class PadicNumber:
 
     __slots__ = ("p", "v", "u", "n")
 
-    def __init__(self, p, v, u, n, _checked=False):
-        if not _checked:
-            require_prime(p)
-            if n < 0 or (n == 0 and u != 0):
-                raise ValueError("need at least one significant digit")
-            if u != 0:
-                u %= p ** n
-                if u % p == 0:
-                    raise ValueError("unit part divisible by p")
+    def __init__(self, p, v, u, n):
+        """A number from outside: the prime, the digit count and the unit are checked."""
+        require_prime(p)
+        if n < 0 or (n == 0 and u != 0):
+            raise ValueError("need at least one significant digit")
+        if u != 0:
+            u %= p ** n
+            if u % p == 0:
+                raise ValueError("unit part divisible by p")
         self.p = p
         self.v = v
         self.u = u
@@ -206,24 +208,15 @@ class PadicNumber:
 
     # -- constructors -------------------------------------------------
 
-    @classmethod
-    def zero(cls, p, abs_prec):
+    @staticmethod
+    def zero(p, abs_prec):
         """Zero known to absolute precision O(p^abs_prec)."""
-        return cls(p, abs_prec, 0, 0, _checked=is_prime(p))
+        return _normalize(require_prime(p), abs_prec, 0, 0)
 
-    @classmethod
-    def from_rational(cls, p, x, digits=DEFAULT_DIGITS):
-        x = Fraction(x)
-        require_prime(p)
-        if x == 0:
-            return cls.zero(p, digits)
-        vn = valuation(x.numerator, p)
-        vd = valuation(x.denominator, p)
-        num = x.numerator // p ** vn
-        den = x.denominator // p ** vd
-        mod = p ** digits
-        u = num * pow(den, -1, mod) % mod
-        return cls(p, vn - vd, u, digits, _checked=True)
+    @staticmethod
+    def from_rational(p, x, digits=DEFAULT_DIGITS):
+        """x to `digits` significant digits; O(p^digits) for x = 0."""
+        return _rational(require_prime(p), Fraction(x), digits)
 
     # -- queries ------------------------------------------------------
 
@@ -248,7 +241,7 @@ class PadicNumber:
                 raise PrimeMismatchError(f"primes differ: {self.p} vs {other.p}")
             return other
         if isinstance(other, (int, Fraction)):
-            return self.from_rational(self.p, other, max(self.n, 1) + max(self.v, 0) + 2)
+            return _rational(self.p, other, max(self.n, 1) + max(self.v, 0) + 2)
         return NotImplemented
 
     def __add__(self, other):
@@ -288,7 +281,7 @@ class PadicNumber:
     def inverse(self):
         if self.is_zero:
             raise ZeroDivisionError("inverse of (indistinguishable-from-)zero")
-        return type(self)(self.p, -self.v, pow(self.u, -1, self.p ** self.n), self.n, _checked=True)
+        return _normalize(self.p, -self.v, pow(self.u, -1, self.p ** self.n), self.n)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -337,13 +330,17 @@ def _normalize(p, v, x, digits):
     """p^v * x for an integer x known mod p^digits: O(p^(v + digits)) when
     digits <= 0 or x vanishes there, else p^(v + v_p(x)) times a unit."""
     x = x % p ** digits if digits > 0 else 0
-    if x == 0:
-        return PadicNumber(p, v + digits, 0, 0, _checked=True)
-    w = 0
-    while x % p == 0:
-        x //= p
-        w += 1
-    return PadicNumber(p, v + w, x, digits - w, _checked=True)
+    w = valuation(x, p) if x else digits  # a zero keeps no digit
+    out = object.__new__(PadicNumber)  # computed from checked operands: no check
+    out.p, out.v, out.u, out.n = p, v + w, x // p ** w if x else 0, digits - w
+    return out
+
+
+def _rational(p, x, digits):
+    """An int or Fraction x to `digits` significant digits, p unchecked."""
+    num, den = x.numerator, x.denominator
+    vn, vd = valuation(num, p) or 0, valuation(den, p)
+    return _normalize(p, vn - vd, num // p ** vn * pow(den // p ** vd, -1, p ** digits), digits)
 
 
 def unit_decompose(x: PadicNumber):
@@ -356,14 +353,12 @@ def unit_decompose(x: PadicNumber):
     if x.is_zero or x.v != 0:
         raise ValueError("unit_decompose needs a unit (valuation 0)")
     p, n = x.p, x.n
-    mod = p ** n
     if p == 2:
         if n < 2:
             raise PrecisionError("p = 2 needs at least 2 digits to see the sign")
-        sign = 1 if x.u % 4 == 1 else -1
-        teich = PadicNumber(p, 0, sign % mod, n, _checked=True)
+        teich = _normalize(p, 0, 1 if x.u % 4 == 1 else -1, n)
     else:
-        teich = PadicNumber(p, 0, pow(x.u, p ** (n - 1), mod), n, _checked=True)
+        teich = _normalize(p, 0, pow(x.u, p ** (n - 1), p ** n), n)
     principal = x * teich.inverse()
     return teich, principal
 
@@ -399,7 +394,7 @@ def padic_pow(x: PadicNumber, t: PadicNumber) -> PadicNumber:
     if t.v < 0:
         raise ValueError(f"x^t needs t in Z_p, got valuation {t.v}")
     a = min(x.n + t.v, t.abs_prec + d.v)
-    return PadicNumber(p, 0, pow(x.u, p ** t.v * t.u, p ** a), a, _checked=True)
+    return _normalize(p, 0, pow(x.u, p ** t.v * t.u, p ** a), a)
 
 
 def _ilog(k, p):

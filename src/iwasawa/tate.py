@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import CertificateError, WeierstrassCurve, count_points
-from .padics import PadicNumber, factor, legendre, require_prime, valuation
+from .padics import PadicNumber, _normalize, factor, legendre, require_prime, valuation
 
 
 @dataclass(frozen=True)
@@ -404,4 +404,4 @@ def tate_period(E: WeierstrassCurve, ell: int, digits: int = 20) -> PadicNumber:
     resid = (e4 ** 3 - J * Q * pow(prod, 24, mod)) % mod
     if resid and valuation(resid, ell) < digits + c:
         raise CertificateError(f"Tate period at {ell} fails re-substitution to {digits} digits")
-    return PadicNumber(ell, c, Q, work, _checked=True)
+    return _normalize(ell, c, Q, work)

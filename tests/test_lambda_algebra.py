@@ -32,6 +32,7 @@ from iwasawa.lambda_algebra import (
     weierstrass_prepare,
 )
 from iwasawa.padics import CertificateError, PadicNumber, PrecisionError, valuation
+import padic_oracles
 from padic_oracles import involution as composed_involution
 from padic_oracles import int_power, series_inverse
 from padic_oracles import min_generators as eliminated_min_generators
@@ -116,11 +117,11 @@ def test_divide_matches_the_newton_inverse_oracle(p, k):
             b = _unit_series(rng, p, n, k)
             a = el(p, [rng.randrange(p ** n) for _ in range(k)], n, k)
             inv = series_inverse(b)
-            assert la._divide(LambdaElement(p, [1], n, k), b).coeffs == inv.coeffs
-            got = la._divide(a, b)
-            assert (got.coeff_prec, got.t_prec, got.coeffs) == (n, k, (a * inv).coeffs)
+            assert la._quotient([1] + [0] * (k - 1), b.coeffs, p, p ** n, k) == list(inv.coeffs)
+            assert la._quotient(a.coeffs, b.coeffs, p, p ** n, k) == list((a * inv).coeffs)
         non_unit = el(p, [p] + [1] * (k - 1), n, k)
-        for divide in (lambda: la._divide(a, non_unit), lambda: series_inverse(non_unit)):
+        for divide in (lambda: la._quotient(a.coeffs, non_unit.coeffs, p, p ** n, k),
+                       lambda: series_inverse(non_unit)):
             with pytest.raises(ValueError):
                 divide()
 
@@ -135,6 +136,13 @@ def test_binomials_match_binary_powering(p, k):
             if c < 0:
                 want = series_inverse(want)
             assert el(p, la._binomials(c, k), n, k).coeffs == want.coeffs, c
+
+
+def test_preparation_matches_the_earlier_preparation():
+    # weierstrass_prepare, fe_solve and associates_check against the earlier
+    # LambdaElement preparation, answers and refusals alike: 250 seeded series
+    # here, 2,500 in CI (tests/padic_oracles.py --preparation)
+    assert padic_oracles.run_preparation(30, 250) == []
 
 
 def test_prepare_constructed_roundtrip_random():
@@ -397,8 +405,8 @@ def test_fe_prepares_twice_when_solved(monkeypatch, capsys):
         calls.clear()
         assert "w" in _fe_json(capsys, text)
         assert len(calls) == 2
-    calls.clear()
-    assert _fe_json(capsys, FE_EDGES[1])["iota_associate"] is False and len(calls) == 4
+    calls.clear()  # "no solution" reads iota_associate off the same two preparations
+    assert _fe_json(capsys, FE_EDGES[1])["iota_associate"] is False and len(calls) == 2
 
 
 # -- presentations ---------------------------------------------------------------
@@ -507,14 +515,14 @@ def test_quotient_order_respects_size_cap(monkeypatch):
 _BREAK_CERTIFICATES = textwrap.dedent("""
     from iwasawa import lambda_algebra as la
 
-    real_resultant, real_divide = la.poly_resultant, la._weierstrass_divide
+    real_resultant, real_quotient = la.poly_resultant, la._weierstrass_quotient
 
     def tripled_resultant(a, b):
         return 3 * real_resultant(a, b)
 
-    def skewed_divide(h, g, lam):
-        q, r = real_divide(h, g, lam)   # the prepared unit comes out divided by 1 + T
-        return q * la.LambdaElement(q.p, [1, 1], q.coeff_prec, q.t_prec), r
+    def skewed_quotient(g, lam, p, n):
+        q = real_quotient(g, lam, p, n)   # the prepared unit comes out divided by 1 + T
+        return la._product(q, [1, 1], p ** n, len(q))
 """)
 
 _UNDER_O = _BREAK_CERTIFICATES + textwrap.dedent("""
@@ -536,7 +544,7 @@ _UNDER_O = _BREAK_CERTIFICATES + textwrap.dedent("""
     la.poly_resultant = tripled_resultant
     expect("snf:", lambda: la.quotient_order(la.LambdaElement(3, [-3, 1], 30, 40), 1))
     cli(["growth", "p=3 coeffs=[-3,1]", "--n-max", "2"])
-    la._weierstrass_divide = skewed_divide
+    la._weierstrass_quotient = skewed_quotient
     expect("prepare:", lambda: la.weierstrass_prepare(la.LambdaElement(3, [3, 3, 1], 30, 40)))
     cli(["fe", "p=3 coeffs=[3,3,1]"])
 """)
@@ -552,7 +560,7 @@ def test_broken_certificates_raise_and_the_cli_reports_them(monkeypatch, capsys)
     captured = capsys.readouterr()
     assert captured.err == "error: SNF and resultant torsion orders disagree\n"
     monkeypatch.undo()
-    monkeypatch.setattr(la, "_weierstrass_divide", ns["skewed_divide"])
+    monkeypatch.setattr(la, "_weierstrass_quotient", ns["skewed_quotient"])
     with pytest.raises(CertificateError, match="reconstruction"):
         weierstrass_prepare(el(3, [3, 3, 1]))
     assert main(["fe", "p=3 coeffs=[3,3,1]"]) == 1

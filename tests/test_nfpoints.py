@@ -22,6 +22,15 @@ def test_field_arithmetic_sqrt2():
     assert x * x.inverse() == 1
 
 
+def test_gen_is_x_in_degree_one():
+    # in Q[x]/(x - 2) the generator x is 2, and x -> x is an involution there
+    K = NumberField([-2, 1])
+    assert K.gen() == 2 and K.gen() * K.gen() == 4
+    E11 = WeierstrassCurve(0, -1, 1, -10, -20)
+    P = (K([5]), K([5]))
+    assert trace_to_subfield(E11, K, P, K.gen()) == group_law(nf_ainvs(E11, K), P, Q=P)
+
+
 def test_cubic_reduction():
     K = NumberField([1, -3, 0, 1])
     b = K.gen()

@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 
 from iwasawa import padics
+from iwasawa.curves import WeierstrassCurve, count_points
+from iwasawa.forge import deuring_search
+from iwasawa.lambda_algebra import LambdaElement
 from iwasawa.padics import (
     FactorizationError,
     PadicNumber,
@@ -17,8 +20,11 @@ from iwasawa.padics import (
     unit_decompose,
     valuation,
 )
+from iwasawa.tate import tate_local
 import padic_oracles
 from padic_oracles import padic_exp
+
+E11 = WeierstrassCurve(0, -1, 1, -10, -20)
 
 
 def test_arithmetic_matches_the_earlier_operators():
@@ -26,6 +32,28 @@ def test_arithmetic_matches_the_earlier_operators():
     # operands, zeros, p = 2 and negative valuations, in (v, u, n) or the
     # exception: 2,000 seeded pairs here, 20,000 in CI (tests/padic_oracles.py)
     assert padic_oracles.run(29, 2000) == []
+
+
+NOT_AN_INT = {
+    "require_prime(3.0)": lambda: padics.require_prime(3.0),
+    "require_prime(Fraction(3))": lambda: padics.require_prime(Fraction(3)),
+    "PadicNumber(3.0, 0, 1, 5)": lambda: PadicNumber(3.0, 0, 1, 5),
+    "PadicNumber.zero(3.0, 5)": lambda: PadicNumber.zero(3.0, 5),
+    "PadicNumber.from_rational(3.0, 1)": lambda: PadicNumber.from_rational(3.0, 1),
+    "LambdaElement(3.0, [3, 1])": lambda: LambdaElement(3.0, [3, 1]),
+    "tate_local(E11, 11.0)": lambda: tate_local(E11, 11.0),
+    "tate_local(E11, 5.0)": lambda: tate_local(E11, 5.0),
+    "count_points(E11, 3.0)": lambda: count_points(E11, 3.0),
+    # a run at 7 must not let 7.0 through the cached root weights
+    "count_points(E11, 7.0)": lambda: count_points(E11, 7) and count_points(E11, 7.0),
+    "deuring_search(7.0, 1)": lambda: deuring_search(7.0, 1),
+}
+
+
+@pytest.mark.parametrize("call", NOT_AN_INT.values(), ids=NOT_AN_INT)
+def test_a_prime_that_is_not_an_int_is_refused_where_it_enters(call):
+    with pytest.raises(ValueError, match=r"^\d+(\.0)? is not prime$"):
+        call()
 
 
 def test_inverse_pair():
@@ -267,6 +295,10 @@ def test_factor_reassembles_seeded_integers():
             assert q < 60 or all(pow(b, q - 1, q) == 1 for b in (43, 47, 53, 59))
             back *= q ** e
         assert back == abs(n)
+
+
+def test_is_prime_is_false_for_anything_but_an_int():
+    assert not any(is_prime(m) for m in (3.0, 7.0, Fraction(7), True, "7", None))
 
 
 def test_is_prime_matches_a_sieve():
